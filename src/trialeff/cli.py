@@ -16,14 +16,14 @@ import math
 import sys
 from pathlib import Path
 
-from .classical import fisher_rr_interval, wald_efficacy_interval
 from .diagnostics import npv, ppv, prevalence_threshold
 from .errors import DegenerateDataError, DomainError, EstimationError
 from .posterior import (
+    _METHODS,
+    DEFAULT_GRID_SIZE,
+    MIN_GRID_SIZE,
     PosteriorGrid,
-    cramer_rao_at_prevalence,
-    cramer_rao_interval,
-    credible_interval,
+    _interval,
     posterior,
     posterior_at_prevalence,
 )
@@ -37,9 +37,7 @@ from .sample_size import (
     wald_sample_size,
 )
 from .simulate import SimulationConfig, coverage_study, replicates_to_csv
-from .trial import TRIAL_PRESETS, DiagnosticProfile, TrialCounts
-
-_ALL_ESTIMATE_METHODS = ("conditional", "wald", "cramer-rao", "fisher-rr")
+from .trial import TRIAL_PRESETS, DiagnosticProfile, IntervalEstimate, TrialCounts
 
 _CURVE_PI_DEFAULT = (0.5, 0.1, 0.05, 0.01, 0.005, 0.001)
 _FIG3_PI_DEFAULT = (0.1, 0.05, 0.01, 0.005, 0.001)
@@ -69,11 +67,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     est.add_argument(
         "--method",
-        choices=_ALL_ESTIMATE_METHODS + ("all",),
+        choices=_METHODS + ("all",),
         default="all",
     )
     est.add_argument("--level", type=float, default=0.95)
-    est.add_argument("--grid", type=int, default=20001)
+    est.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE)
     est.add_argument(
         "--interval", choices=("equal-tailed", "hpd"), default="equal-tailed",
         help="credible-interval rule for the conditional method",
@@ -115,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--se", type=float, default=None, help="sensitivity override (figure 3)")
     curve.add_argument("--sp", type=float, default=None, help="specificity override (figure 3)")
     curve.add_argument("--delta", type=float, default=0.1, help="effect size (figure 4)")
-    curve.add_argument("--grid", type=int, default=2001)
+    curve.add_argument("--grid", type=int, default=MIN_GRID_SIZE)
     curve.add_argument("--output", type=Path, default=None)
     curve.set_defaults(handler=_cmd_curve)
 
@@ -129,8 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     cov.add_argument("--seed", type=int, default=0)
     cov.add_argument("--methods", type=str, default="conditional,wald")
     cov.add_argument("--level", type=float, default=0.95)
-    cov.add_argument("--grid", type=int, default=2001)
-    cov.add_argument("--workers", type=int, default=1)
+    cov.add_argument("--grid", type=int, default=MIN_GRID_SIZE)
     cov.add_argument(
         "--dump", type=Path, default=None,
         help="also write per-replicate outcomes to this CSV file",
@@ -157,7 +154,8 @@ def main(argv=None) -> int:
     except DegenerateDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, EstimationError, ValueError) as exc:
+    # ValueError: float() of a malformed sample-size --ve, --delta or --pi.
+    except (EstimationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -234,43 +232,31 @@ def _estimate_one(
     # An explicit --pi reanalyses the observed totals at that prevalence
     # (population rescaled to t/T); the default keeps the trial's own
     # population size with the observed rate as prevalence.
-    if method == "conditional":
-        if args.pi is None:
-            post = posterior(counts, None, d, args.grid)
-        else:
-            post = posterior_at_prevalence(counts, args.pi, d, args.grid)
-        return _efficacy_block(credible_interval(post, args.level, args.interval))
-    if method == "wald":
-        return _efficacy_block(wald_efficacy_interval(counts, args.level))
-    if method == "cramer-rao":
-        if args.pi is None:
-            return _efficacy_block(cramer_rao_interval(counts, None, d, args.level))
-        return _efficacy_block(cramer_rao_at_prevalence(counts, args.pi, d, args.level))
-    if method == "fisher-rr":
-        est = fisher_rr_interval(counts, args.level)
-        return {
-            "method": est.method,
-            "scale": "risk-ratio",
-            "point": est.point,
-            "lower": est.lower,
-            "upper": est.upper,
-            "lower_undetermined": est.lower_undetermined,
-            "efficacy": {
-                "point": est.efficacy_point,
-                "lower": est.efficacy_lower,
-                "upper": est.efficacy_upper,
-            },
-            "level": est.level,
-            "warnings": list(est.warnings),
-        }
-    raise DomainError(f"unknown method {method!r}")
+    est = _interval(method, counts, args.level, args.pi, d, args.grid, args.interval)
+    if not isinstance(est, IntervalEstimate):
+        return _efficacy_block(est)
+    return {
+        "method": est.method,
+        "scale": "risk-ratio",
+        "point": est.point,
+        "lower": est.lower,
+        "upper": est.upper,
+        "lower_undetermined": est.lower_undetermined,
+        "efficacy": {
+            "point": est.efficacy_point,
+            "lower": est.efficacy_lower,
+            "upper": est.efficacy_upper,
+        },
+        "level": est.level,
+        "warnings": list(est.warnings),
+    }
 
 
 def _cmd_estimate(args) -> int:
     counts = _resolve_counts(args)
     d = DiagnosticProfile(sensitivity=args.se, specificity=args.sp)
     prevalence = args.pi if args.pi is not None else counts.overall_rate
-    requested = _ALL_ESTIMATE_METHODS if args.method == "all" else (args.method,)
+    requested = _METHODS if args.method == "all" else (args.method,)
     results = []
     for method in requested:
         if args.method == "all":
@@ -279,7 +265,7 @@ def _cmd_estimate(args) -> int:
                 results.append(_estimate_one(method, counts, d, args))
             except DegenerateDataError:
                 raise
-            except (DomainError, EstimationError) as exc:
+            except EstimationError as exc:
                 results.append({"method": method, "error": str(exc)})
         else:
             results.append(_estimate_one(method, counts, d, args))
@@ -523,7 +509,6 @@ def _cmd_coverage(args) -> int:
         methods=tuple(part.strip() for part in args.methods.split(",") if part.strip()),
         level=args.level,
         grid_size=args.grid,
-        workers=args.workers,
     )
     report = coverage_study(config, keep_replicates=args.dump is not None)
     if args.dump is not None:

@@ -50,12 +50,14 @@ def log_binomial_coefficient(n: int, k: int) -> float:
 
 
 def _as_count(value, name: str) -> int:
-    if isinstance(value, bool) or value != int(value):
+    """``value`` as an int, or DomainError unless it is a non-negative whole number."""
+    try:
+        whole = int(value)
+    except (OverflowError, ValueError):  # inf, NaN
+        whole = None
+    if isinstance(value, bool) or whole is None or value != whole or whole < 0:
         raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
-    value = int(value)
-    if value < 0:
-        raise DomainError(f"{name} must be a non-negative integer, got {value}")
-    return value
+    return whole
 
 
 def regularized_incomplete_beta(x: float, a: float, b: float) -> float:

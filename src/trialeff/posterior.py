@@ -21,6 +21,11 @@ Two analysis entry points exist:
   self-consistent.  ``prevalence=1`` collapses the model onto the pooled
   Wald limit; lowering it shows how the same counts lose precision as
   the disease gets rarer.
+
+Both readings are one model with a cohort size N and an observed rate
+T, resolved once per analysis; :func:`cramer_rao_interval` and
+:func:`cramer_rao_at_prevalence` are the same pair for the information
+bound.
 """
 
 from __future__ import annotations
@@ -28,9 +33,11 @@ from __future__ import annotations
 import math
 import warnings as _warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .classical import fisher_rr_interval, wald_efficacy_interval
 from .errors import (
     ClampedModeWarning,
     DegenerateDataError,
@@ -46,7 +53,7 @@ from .numerics import (
     normal_quantile,
     regularized_incomplete_beta,
 )
-from .trial import PERFECT_TEST, DiagnosticProfile, EfficacyEstimate, TrialCounts
+from .trial import PERFECT_TEST, DiagnosticProfile, EfficacyEstimate, IntervalEstimate, TrialCounts
 
 # Arm-size imbalance handling: the equal-split form of the model assumes
 # participants are divided evenly, which real trials only approximate.
@@ -87,6 +94,47 @@ def observed_rate(pi: float, d: DiagnosticProfile) -> float:
     return d.false_positive_rate + d.discrimination * pi
 
 
+class _Model(NamedTuple):
+    """One resolved analysis: cohort size N, control cases and observed rate T."""
+
+    total_n: float
+    t_c: int
+    rate: float
+    prevalence: float
+
+    @property
+    def raw_mode(self) -> float:
+        """Closed-form posterior mode 2 - N*T/t_c, before clamping to [0, 1]."""
+        return 2.0 - self.total_n * self.rate / self.t_c
+
+
+def _resolve(
+    counts: TrialCounts, pi: float | None, d: DiagnosticProfile, rescaled: bool
+) -> _Model:
+    """Resolve one reading of the counts, with every guard in one order.
+
+    The own-cohort reading keeps N = n and takes the prevalence t/n unless
+    ``pi`` is given; the rescaled reading keeps the case totals and sets
+    N = t/T.  Guards: prevalence domain, then no control-arm cases, then
+    an observed rate no larger than the false positive rate.
+    """
+    if rescaled and not 0.0 < pi <= 1.0:
+        raise DomainError(f"prevalence must lie in (0, 1], got {pi}")
+    prevalence = counts.overall_rate if pi is None else float(pi)
+    rate = observed_rate(prevalence, d)
+    if counts.t_c == 0:
+        raise DegenerateDataError(
+            "no cases in the control arm; efficacy is unidentifiable"
+        )
+    if rate <= d.false_positive_rate:
+        raise FalsePositiveParadoxError(
+            f"observed rate {rate:.2g} does not exceed the false positive "
+            f"rate {d.false_positive_rate:.2g}"
+        )
+    total_n = counts.t / rate if rescaled else counts.n
+    return _Model(total_n, counts.t_c, rate, prevalence)
+
+
 def log_likelihood(
     alpha: float,
     counts: TrialCounts,
@@ -98,14 +146,10 @@ def log_likelihood(
     Returns ln C(n, t_c) + t_c ln p + (n - t_c) ln(1 - p) with
     p = (c1 + c2*pi)/(2 - alpha).
     """
-    if counts.t_c == 0:
-        raise DegenerateDataError(
-            "no cases in the control arm; efficacy is unidentifiable"
-        )
+    model = _resolve(counts, pi, d, rescaled=False)
     if not 0.0 <= alpha <= 1.0:
         raise DomainError(f"efficacy must lie in [0, 1], got {alpha}")
-    prevalence = counts.overall_rate if pi is None else pi
-    p = observed_rate(prevalence, d) / (2.0 - alpha)
+    p = model.rate / (2.0 - alpha)
     if not 0.0 < p < 1.0:
         raise DomainError(
             f"kernel success probability {p} outside (0, 1); "
@@ -118,16 +162,22 @@ def log_likelihood(
     )
 
 
-def _log_kernel(alpha: np.ndarray, total_n: float, t_c: int, rate: float) -> np.ndarray:
+def _alpha_grid(grid_size: int) -> np.ndarray:
+    if grid_size < MIN_GRID_SIZE:
+        raise DomainError(f"grid_size must be at least {MIN_GRID_SIZE}, got {grid_size}")
+    return np.linspace(0.0, 1.0, grid_size)
+
+
+def _log_kernel(alpha: np.ndarray, model: _Model) -> np.ndarray:
     """Vectorized log kernel without the count-independent constant.
 
     Grid endpoints where the success probability leaves (0, 1) get zero
     density instead of raising, so prevalence-one analyses stay usable.
     """
-    p = rate / (2.0 - alpha)
+    p = model.rate / (2.0 - alpha)
     out = np.full(alpha.shape, -np.inf)
     ok = (p > 0.0) & (p < 1.0)
-    out[ok] = t_c * np.log(p[ok]) + (total_n - t_c) * np.log1p(-p[ok])
+    out[ok] = model.t_c * np.log(p[ok]) + (model.total_n - model.t_c) * np.log1p(-p[ok])
     return out
 
 
@@ -147,28 +197,16 @@ def _balance_warnings(counts: TrialCounts) -> tuple[str, ...]:
 
 
 def _build_grid(
-    counts: TrialCounts,
-    total_n: float,
-    rate: float,
-    prevalence: float,
-    d: DiagnosticProfile | None,
-    grid_size: int,
-    extra_warnings: tuple[str, ...] = (),
+    counts: TrialCounts, model: _Model, d: DiagnosticProfile, grid_size: int
 ) -> PosteriorGrid:
-    if counts.t_c == 0:
-        raise DegenerateDataError(
-            "no cases in the control arm; efficacy is unidentifiable"
-        )
-    if grid_size < MIN_GRID_SIZE:
-        raise DomainError(f"grid_size must be at least {MIN_GRID_SIZE}, got {grid_size}")
-    notes = _balance_warnings(counts) + extra_warnings
-    alpha = np.linspace(0.0, 1.0, grid_size)
-    log_density = _log_kernel(alpha, total_n, counts.t_c, rate)
+    alpha = _alpha_grid(grid_size)
+    notes = _balance_warnings(counts)
+    log_density = _log_kernel(alpha, model)
     log_density -= log_density.max()
     grid = grid_normalize(Grid(alpha, np.exp(log_density)))
     return PosteriorGrid(
         grid=grid,
-        prevalence=prevalence,
+        prevalence=model.prevalence,
         diagnostic=d,
         counts=counts,
         warnings=notes,
@@ -186,14 +224,7 @@ def posterior(
     The prevalence defaults to the observed rate t/n; an explicit value
     reinterprets the infection rate while keeping the population size.
     """
-    prevalence = counts.overall_rate if pi is None else float(pi)
-    rate = observed_rate(prevalence, d)
-    if rate <= d.false_positive_rate:
-        raise FalsePositiveParadoxError(
-            f"observed rate {rate:.2g} does not exceed the false positive "
-            f"rate {d.false_positive_rate:.2g}"
-        )
-    return _build_grid(counts, counts.n, rate, prevalence, d, grid_size)
+    return _build_grid(counts, _resolve(counts, pi, d, rescaled=False), d, grid_size)
 
 
 def posterior_at_prevalence(
@@ -208,30 +239,7 @@ def posterior_at_prevalence(
     consistent with the observed totals; with ``prevalence`` equal to
     t/n and a perfect test this coincides with :func:`posterior`.
     """
-    if not 0.0 < prevalence <= 1.0:
-        raise DomainError(f"prevalence must lie in (0, 1], got {prevalence}")
-    rate = observed_rate(prevalence, d)
-    if rate <= d.false_positive_rate:
-        raise FalsePositiveParadoxError(
-            f"observed rate {rate:.2g} does not exceed the false positive "
-            f"rate {d.false_positive_rate:.2g}"
-        )
-    if counts.t == 0:
-        raise DegenerateDataError("no cases observed; efficacy is unidentifiable")
-    effective_n = counts.t / rate
-    return _build_grid(counts, effective_n, rate, prevalence, d, grid_size)
-
-
-def _map_raw(
-    counts: TrialCounts, pi: float | None, d: DiagnosticProfile
-) -> tuple[float, bool]:
-    if counts.t_c == 0:
-        raise DegenerateDataError(
-            "no cases in the control arm; efficacy is unidentifiable"
-        )
-    prevalence = counts.overall_rate if pi is None else pi
-    raw = 2.0 - counts.n * observed_rate(prevalence, d) / counts.t_c
-    return raw, not 0.0 <= raw <= 1.0
+    return _build_grid(counts, _resolve(counts, prevalence, d, rescaled=True), d, grid_size)
 
 
 def map_estimate(
@@ -244,8 +252,8 @@ def map_estimate(
     With a perfect test and pi = t/n this reduces exactly to 1 - t_v/t_c.
     A warning is emitted when the closed form leaves the prior support.
     """
-    raw, clamped = _map_raw(counts, pi, d)
-    if clamped:
+    raw = _resolve(counts, pi, d, rescaled=False).raw_mode
+    if not 0.0 <= raw <= 1.0:
         _warnings.warn(
             f"closed-form mode {raw:.4f} lies outside [0, 1]; clamped",
             ClampedModeWarning,
@@ -275,30 +283,6 @@ def fisher_information(
     return n * rate / ((2.0 - alpha) ** 2 * remainder)
 
 
-def _symmetric_interval(
-    mode: float,
-    clamped: bool,
-    raw: float,
-    info: float,
-    level: float,
-) -> EfficacyEstimate:
-    half = normal_quantile(0.5 * (1.0 + level)) / math.sqrt(info)
-    lower, upper = mode - half, mode + half
-    notes: list[str] = []
-    if clamped:
-        notes.append(f"closed-form mode {raw:.4f} clamped to [0, 1]")
-    if lower < 0.0 or upper > 1.0:
-        notes.append("interval extends outside [0, 1]")
-    return EfficacyEstimate(
-        point=mode,
-        lower=lower,
-        upper=upper,
-        level=level,
-        method="cramer-rao",
-        warnings=tuple(notes),
-    )
-
-
 def cramer_rao_interval(
     counts: TrialCounts,
     pi: float | None = None,
@@ -311,13 +295,7 @@ def cramer_rao_interval(
     flagged in the warnings instead, since the asymmetry of the exact
     posterior is precisely what this approximation misses.
     """
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"level must lie in (0, 1), got {level}")
-    prevalence = counts.overall_rate if pi is None else pi
-    raw, clamped = _map_raw(counts, pi, d)
-    mode = min(1.0, max(0.0, raw))
-    info = fisher_information(mode, counts.n, prevalence, d)
-    return _symmetric_interval(mode, clamped, raw, info, level)
+    return _information_interval(counts, pi, d, level, rescaled=False)
 
 
 def cramer_rao_at_prevalence(
@@ -327,21 +305,33 @@ def cramer_rao_at_prevalence(
     level: float = 0.95,
 ) -> EfficacyEstimate:
     """Information-bound interval under the rescaled-population reading."""
-    if not 0.0 < prevalence <= 1.0:
-        raise DomainError(f"prevalence must lie in (0, 1], got {prevalence}")
+    return _information_interval(counts, prevalence, d, level, rescaled=True)
+
+
+def _information_interval(
+    counts: TrialCounts, pi: float | None, d: DiagnosticProfile, level: float, rescaled: bool
+) -> EfficacyEstimate:
     if not 0.0 < level < 1.0:
         raise DomainError(f"level must lie in (0, 1), got {level}")
-    if counts.t_c == 0:
-        raise DegenerateDataError(
-            "no cases in the control arm; efficacy is unidentifiable"
-        )
-    rate = observed_rate(prevalence, d)
-    effective_n = counts.t / rate
-    raw = 2.0 - effective_n * rate / counts.t_c
-    clamped = not 0.0 <= raw <= 1.0
+    model = _resolve(counts, pi, d, rescaled)
+    raw = model.raw_mode
     mode = min(1.0, max(0.0, raw))
-    info = fisher_information(mode, effective_n, prevalence, d)
-    return _symmetric_interval(mode, clamped, raw, info, level)
+    info = fisher_information(mode, model.total_n, model.prevalence, d)
+    half = normal_quantile(0.5 * (1.0 + level)) / math.sqrt(info)
+    lower, upper = mode - half, mode + half
+    notes: list[str] = []
+    if not 0.0 <= raw <= 1.0:
+        notes.append(f"closed-form mode {raw:.4f} clamped to [0, 1]")
+    if lower < 0.0 or upper > 1.0:
+        notes.append("interval extends outside [0, 1]")
+    return EfficacyEstimate(
+        point=mode,
+        lower=lower,
+        upper=upper,
+        level=level,
+        method="cramer-rao",
+        warnings=tuple(notes),
+    )
 
 
 def _grid_mode(grid: Grid) -> float:
@@ -399,6 +389,41 @@ def credible_interval(
     )
 
 
+# Interval methods by name, in the order the CLI reports them.
+_METHODS = ("conditional", "wald", "cramer-rao", "fisher-rr")
+
+
+def _interval(
+    method: str,
+    counts: TrialCounts,
+    level: float,
+    pi: float | None = None,
+    d: DiagnosticProfile = PERFECT_TEST,
+    grid_size: int = DEFAULT_GRID_SIZE,
+    rule: str = "equal-tailed",
+) -> EfficacyEstimate | IntervalEstimate:
+    """The named method's interval; a given ``pi`` selects the rescaled reading.
+
+    Methods are called through their module-global names, so code that
+    rebinds one of those names (a tracer, a test double) sees the call.
+    """
+    if method == "conditional":
+        if pi is None:
+            post = posterior(counts, None, d, grid_size)
+        else:
+            post = posterior_at_prevalence(counts, pi, d, grid_size)
+        return credible_interval(post, level, rule)
+    if method == "cramer-rao":
+        if pi is None:
+            return cramer_rao_interval(counts, None, d, level)
+        return cramer_rao_at_prevalence(counts, pi, d, level)
+    if method == "wald":
+        return wald_efficacy_interval(counts, level)
+    if method == "fisher-rr":
+        return fisher_rr_interval(counts, level)
+    raise DomainError(f"unknown interval method {method!r}")
+
+
 def marginal_likelihood(
     counts: TrialCounts,
     pi: float | None = None,
@@ -414,26 +439,16 @@ def marginal_likelihood(
     valid for t_c >= 2; a single control-arm case falls back to
     trapezoid integration with a warning.
     """
-    if counts.t_c == 0:
-        raise DegenerateDataError(
-            "no cases in the control arm; efficacy is unidentifiable"
-        )
-    prevalence = counts.overall_rate if pi is None else pi
-    rate = observed_rate(prevalence, d)
-    if rate <= d.false_positive_rate:
-        raise FalsePositiveParadoxError(
-            f"observed rate {rate:.2g} does not exceed the false positive "
-            f"rate {d.false_positive_rate:.2g}"
-        )
-    n, t_c = counts.n, counts.t_c
+    model = _resolve(counts, pi, d, rescaled=False)
+    n, t_c, rate = counts.n, counts.t_c, model.rate
     if t_c < 2:
         _warnings.warn(
             "closed form needs at least two control-arm cases; "
             "falling back to numerical integration",
             stacklevel=2,
         )
-        alpha = np.linspace(0.0, 1.0, DEFAULT_GRID_SIZE)
-        log_kernel = _log_kernel(alpha, n, t_c, rate) + log_binomial_coefficient(n, t_c)
+        alpha = _alpha_grid(DEFAULT_GRID_SIZE)
+        log_kernel = _log_kernel(alpha, model) + log_binomial_coefficient(n, t_c)
         return float(np.trapezoid(np.exp(log_kernel), alpha))
     a, b = t_c - 1.0, n - t_c + 1.0
     log_front = (
@@ -471,35 +486,34 @@ def marginalize_over_diagnostics(
     """
     se_values = _lattice(se_range, lattice_size, "sensitivity")
     sp_values = _lattice(sp_range, lattice_size, "specificity")
-    prevalence = counts.overall_rate if pi is None else float(pi)
-    accumulated = None
+    alpha = _alpha_grid(grid_size)
+    # Resolving under a perfect test raises the prevalence and count
+    # errors here, before the loop could count them as infeasible points;
+    # its paradox check fails only at prevalence 0, where every point does.
+    prevalence = _resolve(counts, pi, PERFECT_TEST, rescaled=False).prevalence
+    notes = _balance_warnings(counts)
+    accumulated = np.zeros(grid_size)
     kept = 0
     skipped = 0
-    balance = _balance_warnings(counts)
     for se in se_values:
         for sp in sp_values:
             try:
                 profile = DiagnosticProfile(sensitivity=se, specificity=sp)
                 part = posterior(counts, prevalence, profile, grid_size)
-            except (DomainError, FalsePositiveParadoxError):
+            except DomainError:
                 skipped += 1
                 continue
-            if accumulated is None:
-                accumulated = part.grid.values.copy()
-            else:
-                accumulated += part.grid.values
+            accumulated += part.grid.values
             kept += 1
-    if accumulated is None or kept == 0:
+    if kept == 0:
         raise FalsePositiveParadoxError(
             "every point of the diagnostic lattice is infeasible for "
             "these counts"
         )
-    notes = balance
     if skipped:
         notes = notes + (
             f"excluded {skipped} of {skipped + kept} diagnostic lattice points",
         )
-    alpha = np.linspace(0.0, 1.0, grid_size)
     mixture = grid_normalize(Grid(alpha, accumulated / kept))
     return PosteriorGrid(
         grid=mixture,

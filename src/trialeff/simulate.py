@@ -6,25 +6,21 @@ false positives among non-cases), analyses the observed counts as raw
 data, and records whether each requested interval method covered the
 true efficacy.
 
-Replicates use independent substreams derived from (seed, replicate
-index), so the report is bit-identical for a given seed and config no
-matter how many workers run it.
+Each replicate draws from its own substream, ``default_rng((seed,
+index))``, so the report is bit-identical for a given seed and config
+and any single replicate can be drawn again on its own.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classical import fisher_rr_interval, wald_efficacy_interval
-from .errors import DegenerateDataError, DomainError, EstimationError
-from .posterior import credible_interval, cramer_rao_interval, posterior
-from .trial import PERFECT_TEST, DiagnosticProfile, TrialCounts
-
-KNOWN_METHODS = ("conditional", "wald", "cramer-rao", "fisher-rr")
+from .errors import DomainError, EstimationError
+from .posterior import _METHODS, MIN_GRID_SIZE, _interval
+from .trial import PERFECT_TEST, DiagnosticProfile, IntervalEstimate, TrialCounts
 
 
 @dataclass(frozen=True)
@@ -45,8 +41,7 @@ class SimulationConfig:
     seed: int = 0
     methods: tuple[str, ...] = ("conditional", "wald")
     level: float = 0.95
-    grid_size: int = 2001
-    workers: int = 1
+    grid_size: int = MIN_GRID_SIZE
 
     def __post_init__(self):
         if self.n_per_arm < 1:
@@ -59,11 +54,9 @@ class SimulationConfig:
             raise DomainError(f"replicates must be at least 1, got {self.replicates}")
         if not 0.0 < self.level < 1.0:
             raise DomainError(f"level must lie in (0, 1), got {self.level}")
-        unknown = set(self.methods) - set(KNOWN_METHODS)
+        unknown = set(self.methods) - set(_METHODS)
         if unknown:
             raise DomainError(f"unknown interval methods: {sorted(unknown)}")
-        if self.workers < 1:
-            raise DomainError(f"workers must be at least 1, got {self.workers}")
         object.__setattr__(self, "methods", tuple(self.methods))
 
     @property
@@ -82,7 +75,6 @@ class SimulationConfig:
             "methods": list(self.methods),
             "level": self.level,
             "grid_size": self.grid_size,
-            "workers": self.workers,
         }
 
 
@@ -177,21 +169,6 @@ def simulate_trial(config: SimulationConfig, rng: np.random.Generator) -> TrialC
     return TrialCounts(n_v=n, t_v=t_v, n_c=n, t_c=t_c)
 
 
-def _interval_bounds(method: str, counts: TrialCounts, level: float, grid_size: int) -> tuple[float, float]:
-    if method == "conditional":
-        est = credible_interval(posterior(counts, grid_size=grid_size), level)
-    elif method == "wald":
-        est = wald_efficacy_interval(counts, level)
-    elif method == "cramer-rao":
-        est = cramer_rao_interval(counts, level=level)
-    elif method == "fisher-rr":
-        rr_est = fisher_rr_interval(counts, level)
-        return rr_est.efficacy_lower, rr_est.efficacy_upper
-    else:
-        raise DomainError(f"unknown interval method {method!r}")
-    return est.lower, est.upper
-
-
 def _run_replicate(
     config: SimulationConfig, index: int
 ) -> tuple[TrialCounts, dict[str, tuple[bool, float, float] | None]]:
@@ -200,10 +177,14 @@ def _run_replicate(
     out: dict[str, tuple[bool, float, float] | None] = {}
     for method in config.methods:
         try:
-            lower, upper = _interval_bounds(method, counts, config.level, config.grid_size)
-        except (DegenerateDataError, DomainError, EstimationError):
+            est = _interval(method, counts, config.level, grid_size=config.grid_size)
+        except EstimationError:
             out[method] = None
             continue
+        if isinstance(est, IntervalEstimate):
+            lower, upper = est.efficacy_lower, est.efficacy_upper
+        else:
+            lower, upper = est.lower, est.upper
         covered = lower <= config.ve <= upper
         out[method] = (covered, lower, upper)
     return counts, out
@@ -216,12 +197,7 @@ def coverage_study(config: SimulationConfig, keep_replicates: bool = False) -> C
     draws) are counted as failures and excluded from that method's
     coverage denominator.
     """
-    indices = range(config.replicates)
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(lambda i: _run_replicate(config, i), indices))
-    else:
-        results = [_run_replicate(config, i) for i in indices]
+    results = [_run_replicate(config, i) for i in range(config.replicates)]
 
     methods: dict[str, MethodResult] = {}
     for method in config.methods:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
+from .numerics import _as_count
 
 
 @dataclass(frozen=True)
@@ -18,10 +19,7 @@ class TrialCounts:
 
     def __post_init__(self):
         for name in ("n_v", "t_v", "n_c", "t_c"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or value != int(value):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _as_count(getattr(self, name), name))
         if self.n_v <= 0 or self.n_c <= 0:
             raise DomainError("both arms must have at least one participant")
         if not 0 <= self.t_v <= self.n_v:

@@ -71,6 +71,20 @@ class TestEstimate:
         assert code == 3
         assert err.startswith("error:")
 
+    def test_zero_cases_in_both_arms_exit_3(self, capsys):
+        # No control-arm cases is degenerate data whichever posterior
+        # reading is asked for, even when the observed rate is also 0.
+        counts = ["--tv", "0", "--nv", "1000", "--tc", "0", "--nc", "1000"]
+        for extra in (
+            ["--method", "conditional"],
+            ["--method", "cramer-rao"],
+            ["--method", "conditional", "--pi", "0.01"],
+            ["--method", "all"],
+        ):
+            code, out, err = run_cli(["estimate", *counts, *extra], capsys)
+            assert (code, out) == (3, ""), extra
+            assert "no cases in the control arm" in err
+
     def test_prevalence_one_matches_wald(self, capsys):
         _, out_cond, _ = run_cli(
             ["estimate", "--trial", "pfizer", "--pi", "1.0", "--method", "conditional"],

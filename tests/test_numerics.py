@@ -14,6 +14,7 @@ from trialeff import (
     DegenerateDensityError,
     DomainError,
     Grid,
+    TrialCounts,
     grid_integral,
     grid_normalize,
     grid_quantile,
@@ -61,10 +62,17 @@ class TestLogBinomialCoefficient:
         rhs = math.comb(n - 1, k - 1) + math.comb(n - 1, k)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    @pytest.mark.parametrize("n,k", [(3, 4), (-1, 0), (5, -2)])
+    @pytest.mark.parametrize(
+        "n,k", [(3, 4), (-1, 0), (5, -2), (math.inf, 3), (math.nan, 3), (2.5, 1), (True, 0)]
+    )
     def test_domain_errors(self, n, k):
         with pytest.raises(DomainError):
             log_binomial_coefficient(n, k)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 2.5, True, -1])
+    def test_trial_counts_share_the_count_check(self, bad):
+        with pytest.raises(DomainError):
+            TrialCounts(n_v=bad, t_v=0, n_c=10, t_c=1)
 
 
 def series_incomplete_beta(x: Fraction, a: int, b: int) -> Fraction:

@@ -305,6 +305,14 @@ class TestCramerRaoInterval:
         assert est.upper > 1.0
         assert any("outside [0, 1]" in w for w in est.warnings)
 
+    def test_false_positive_paradox_as_in_posterior(self):
+        # At prevalence 0 the observed rate equals the false positive
+        # rate: every analysis of the counts must refuse it alike.
+        leaky = DiagnosticProfile(sensitivity=0.95, specificity=0.99)
+        for analysis in (posterior, cramer_rao_interval, map_estimate):
+            with pytest.raises(FalsePositiveParadoxError):
+                analysis(AZ, 0.0, leaky)
+
 
 class TestCredibleInterval:
     def test_pfizer_equal_tailed_bounds(self):
@@ -408,6 +416,17 @@ class TestMarginalizeOverDiagnostics:
             AZ, se_range=(0.9, 1.0), sp_range=(0.995, 1.0), grid_size=4001
         )
         assert grid_integral(mixed.grid) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"grid_size": 501}, "grid_size must be at least"), ({"pi": 1.5}, "prevalence must lie")],
+    )
+    def test_invalid_input_is_not_reported_as_infeasible_lattice(self, kwargs, message):
+        with pytest.raises(DomainError, match=message) as raised:
+            marginalize_over_diagnostics(
+                AZ, se_range=(0.9, 1.0), sp_range=(0.99, 1.0), lattice_size=3, **kwargs
+            )
+        assert not isinstance(raised.value, FalsePositiveParadoxError)
 
     def test_error_when_every_lattice_point_is_infeasible(self):
         with pytest.raises(FalsePositiveParadoxError):

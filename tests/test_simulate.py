@@ -74,11 +74,6 @@ class TestCoverageStudy:
         second = coverage_study(config)
         assert first.to_json() == second.to_json()
 
-    def test_worker_count_does_not_change_results(self):
-        serial = coverage_study(make_config(replicates=60, workers=1))
-        parallel = coverage_study(make_config(replicates=60, workers=4))
-        assert serial.as_dict()["methods"] == parallel.as_dict()["methods"]
-
     def test_single_replicate_coverage_is_binary(self):
         report = coverage_study(make_config(replicates=1))
         for result in report.methods.values():
