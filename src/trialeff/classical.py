@@ -31,7 +31,7 @@ def wald_log_variance(counts: TrialCounts) -> float:
     if counts.t_c == 0:
         raise ZeroCellError(
             "zero cases in control arm; log risk ratio undefined "
-            "(the conditional-binomial method handles this case)"
+            "(no method identifies efficacy without control-arm cases)"
         )
     return (
         (1.0 - counts.attack_rate_v) / counts.t_v

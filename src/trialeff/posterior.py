@@ -62,6 +62,9 @@ _BALANCE_FAIL = 0.10
 
 DEFAULT_GRID_SIZE = 20_001
 MIN_GRID_SIZE = 2_001
+# An efficacy step of 1e-6, 50 times finer than the default; the cap turns
+# a runaway size into a DomainError instead of a failed allocation.
+MAX_GRID_SIZE = 1_000_001
 
 
 @dataclass(frozen=True)
@@ -165,19 +168,24 @@ def log_likelihood(
 def _alpha_grid(grid_size: int) -> np.ndarray:
     if grid_size < MIN_GRID_SIZE:
         raise DomainError(f"grid_size must be at least {MIN_GRID_SIZE}, got {grid_size}")
+    if grid_size > MAX_GRID_SIZE:
+        raise DomainError(f"grid_size must be at most {MAX_GRID_SIZE}, got {grid_size}")
     return np.linspace(0.0, 1.0, grid_size)
 
 
 def _log_kernel(alpha: np.ndarray, model: _Model) -> np.ndarray:
     """Vectorized log kernel without the count-independent constant.
 
-    Grid endpoints where the success probability leaves (0, 1) get zero
-    density instead of raising, so prevalence-one analyses stay usable.
+    The success probability p rises with alpha and is positive once
+    resolved, so only a tail can reach 1; it gets zero density instead
+    of raising, which keeps prevalence-one analyses usable.
     """
     p = model.rate / (2.0 - alpha)
+    inside = p[: np.searchsorted(p, 1.0)]
     out = np.full(alpha.shape, -np.inf)
-    ok = (p > 0.0) & (p < 1.0)
-    out[ok] = model.t_c * np.log(p[ok]) + (model.total_n - model.t_c) * np.log1p(-p[ok])
+    out[: inside.size] = (
+        model.t_c * np.log(inside) + (model.total_n - model.t_c) * np.log1p(-inside)
+    )
     return out
 
 

@@ -57,7 +57,8 @@ class SimulationConfig:
         unknown = set(self.methods) - set(_METHODS)
         if unknown:
             raise DomainError(f"unknown interval methods: {sorted(unknown)}")
-        object.__setattr__(self, "methods", tuple(self.methods))
+        # A repeated name would be evaluated and dumped twice but tallied once.
+        object.__setattr__(self, "methods", tuple(dict.fromkeys(self.methods)))
 
     @property
     def prevalence_vaccinated(self) -> float:

@@ -47,6 +47,16 @@ class TestWaldLogVariance:
         with pytest.raises(ZeroCellError):
             wald_log_variance(TrialCounts(n_v=100, t_v=0, n_c=100, t_c=5))
 
+    def test_zero_control_cases_not_directed_to_conditional_method(self):
+        # The conditional method cannot help here: it exits 3 on these counts.
+        counts = TrialCounts(n_v=1000, t_v=3, n_c=1000, t_c=0)
+        with pytest.raises(
+            ZeroCellError,
+            match=r"zero cases in control arm; log risk ratio undefined "
+            r"\(no method identifies efficacy without control-arm cases\)",
+        ):
+            wald_log_variance(counts)
+
 
 class TestWaldEfficacyInterval:
     def test_az_frozen_values(self):

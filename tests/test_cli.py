@@ -108,6 +108,16 @@ class TestEstimate:
         assert "error" in blocks["wald"]
         assert blocks["conditional-binomial"]["point"] == pytest.approx(1.0, abs=1e-6)
 
+    def test_oversized_grid_exits_2(self, capsys):
+        code, out, err = run_cli(
+            ["estimate", "--trial", "pfizer", "--method", "conditional",
+             "--grid", "1000000000000"],
+            capsys,
+        )
+        assert code == 2
+        assert "grid_size must be at most" in err
+        assert out == ""
+
     def test_conflicting_count_sources_rejected(self, capsys):
         code, _, err = run_cli(
             ["estimate", "--trial", "az", "--tv", "1", "--nv", "10", "--tc", "2",
@@ -268,6 +278,19 @@ class TestCoverage:
         doc = json.loads(out)
         for result in doc["results"]["methods"].values():
             assert result["coverage"] in (0.0, 1.0)
+
+    def test_repeated_method_echoed_and_dumped_once(self, capsys, tmp_path):
+        dump = tmp_path / "d.csv"
+        code, out, _ = run_cli(
+            ["coverage", "--n-per-arm", "2000", "--pi-c", "0.05", "--ve", "0.5",
+             "--replicates", "5", "--methods", "wald,wald", "--dump", str(dump)],
+            capsys,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["inputs"]["methods"] == ["wald"]
+        assert list(doc["results"]["methods"]) == ["wald"]
+        assert len(parse_csv(dump.read_text())) == 5
 
     def test_invalid_method_exits_2(self, capsys):
         code, _, err = run_cli(

@@ -69,6 +69,41 @@ class TestLogBinomialCoefficient:
         with pytest.raises(DomainError):
             log_binomial_coefficient(n, k)
 
+    @pytest.mark.parametrize(
+        "n, ms",
+        [
+            (41, range(1, 41)),
+            (10**3, range(1, 41)),
+            (10**7, range(1, 41)),
+            (2 * 10**6, range(9_990, 10_011)),
+            (10**7, range(9_990, 10_011)),
+        ],
+    )
+    def test_small_and_large_m_against_mpmath(self, n, ms):
+        # m on both sides of the Stirling-series switch at 15, and m near
+        # 10,000 at large n, where the sensitivity analyses evaluate it.
+        expected = [
+            float(mp.loggamma(n + 1) - mp.loggamma(m + 1) - mp.loggamma(n - m + 1))
+            for m in ms
+        ]
+        assert [log_binomial_coefficient(n, m) for m in ms] == pytest.approx(
+            expected, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("n", [2, 41, 10**3, 36523, 2 * 10**6 + 1])
+    def test_symmetric_in_k_and_n_minus_k(self, n):
+        for k in {0, 1, 2, 15, 16, n // 3, n // 2, 10_000}:
+            if k <= n:
+                assert log_binomial_coefficient(n, k) == log_binomial_coefficient(n, n - k)
+
+    def test_n_beyond_float_range_rejected(self):
+        assert log_binomial_coefficient(10**300, 1) == pytest.approx(
+            300 * math.log(10), rel=1e-15
+        )
+        for k in (1, 20_000):
+            with pytest.raises(DomainError, match="does not fit in a float"):
+                log_binomial_coefficient(10**400, k)
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan, 2.5, True, -1])
     def test_trial_counts_share_the_count_check(self, bad):
         with pytest.raises(DomainError):

@@ -146,6 +146,11 @@ class TestPosterior:
         with pytest.raises(DomainError):
             posterior(AZ, grid_size=501)
 
+    def test_maximum_grid_size_enforced_before_allocating(self):
+        # 10**12 points would be a 7 TiB array; the cap raises first.
+        with pytest.raises(DomainError, match="grid_size must be at most"):
+            posterior(PFIZER, grid_size=10**12)
+
     def test_degenerate_without_control_cases(self):
         counts = TrialCounts(n_v=100, t_v=2, n_c=100, t_c=0)
         with pytest.raises(DegenerateDataError):
@@ -419,7 +424,11 @@ class TestMarginalizeOverDiagnostics:
 
     @pytest.mark.parametrize(
         "kwargs, message",
-        [({"grid_size": 501}, "grid_size must be at least"), ({"pi": 1.5}, "prevalence must lie")],
+        [
+            ({"grid_size": 501}, "grid_size must be at least"),
+            ({"grid_size": 10**12}, "grid_size must be at most"),
+            ({"pi": 1.5}, "prevalence must lie"),
+        ],
     )
     def test_invalid_input_is_not_reported_as_infeasible_lattice(self, kwargs, message):
         with pytest.raises(DomainError, match=message) as raised:

@@ -141,6 +141,13 @@ class TestCoverageStudy:
         with pytest.raises(DomainError):
             make_config(methods=("conditional", "bayes-factor"))
 
+    def test_repeated_methods_run_once_in_first_seen_order(self):
+        config = make_config(replicates=5, methods=("wald", "conditional", "wald"))
+        assert config.methods == ("wald", "conditional")
+        report = coverage_study(config, keep_replicates=True)
+        assert list(report.methods) == ["wald", "conditional"]
+        assert len(report.records) == 5 * 2
+
     def test_replicate_dump_rows(self):
         config = make_config(
             n_per_arm=500, prevalence=0.01, ve=0.9, replicates=50, seed=5
