@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, ZeroCellError
-from .numerics import normal_quantile
+from .errors import ZeroCellError
+from .numerics import _check_level, normal_quantile
 from .trial import EfficacyEstimate, IntervalEstimate, TrialCounts
 
 
@@ -46,8 +46,7 @@ def wald_efficacy_interval(counts: TrialCounts, level: float = 0.95) -> Efficacy
     counts are a typed error rather than a continuity correction; the
     posterior model is the intended tool for that regime.
     """
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"level must lie in (0, 1), got {level}")
+    _check_level(level)
     spread = math.sqrt(wald_log_variance(counts))
     z = normal_quantile(0.5 * (1.0 + level))
     rr = counts.risk_ratio
@@ -68,8 +67,7 @@ def fisher_rr_interval(counts: TrialCounts, level: float = 0.95) -> IntervalEsti
     through RR = (n_c/n_v)(1 - alpha).  A negative lower bound is kept
     and flagged undetermined.
     """
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"level must lie in (0, 1), got {level}")
+    _check_level(level)
     if counts.t_c == 0:
         raise ZeroCellError(
             "zero cases in control arm; risk-ratio interval undefined"

@@ -14,10 +14,12 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .diagnostics import npv, ppv, prevalence_threshold
 from .errors import DegenerateDataError, DomainError, EstimationError
+from .numerics import _check_level
 from .posterior import (
     _METHODS,
     DEFAULT_GRID_SIZE,
@@ -28,13 +30,12 @@ from .posterior import (
     posterior_at_prevalence,
 )
 from .sample_size import (
+    _METHODS as _SIZE_METHODS,
     DEFAULT_DELTA_GRID,
     DEFAULT_PI_GRID,
     DEFAULT_VE_GRID,
     SampleSizeSpec,
-    cramer_rao_sample_size,
     sample_size_table,
-    wald_sample_size,
 )
 from .simulate import SimulationConfig, coverage_study, replicates_to_csv
 from .trial import TRIAL_PRESETS, DiagnosticProfile, IntervalEstimate, TrialCounts
@@ -85,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     size.add_argument("--pi", type=str, help="event rate (comma list with --table)")
     size.add_argument("--alpha", type=float, default=0.05)
     size.add_argument("--beta", type=float, default=0.2)
-    size.add_argument("--method", choices=("wald", "cramer-rao"), default="cramer-rao")
+    size.add_argument("--method", choices=tuple(_SIZE_METHODS), default="cramer-rao")
     size.add_argument(
         "--exact-z", action="store_true",
         help="use full-precision normal quantiles instead of the "
@@ -212,17 +213,6 @@ def _resolve_counts(args) -> TrialCounts:
     return TrialCounts(n_v=args.nv, t_v=args.tv, n_c=args.nc, t_c=args.tc)
 
 
-def _efficacy_block(est) -> dict:
-    return {
-        "method": est.method,
-        "point": est.point,
-        "lower": est.lower,
-        "upper": est.upper,
-        "level": est.level,
-        "warnings": list(est.warnings),
-    }
-
-
 def _estimate_one(
     method: str,
     counts: TrialCounts,
@@ -233,42 +223,34 @@ def _estimate_one(
     # (population rescaled to t/T); the default keeps the trial's own
     # population size with the observed rate as prevalence.
     est = _interval(method, counts, args.level, args.pi, d, args.grid, args.interval)
-    if not isinstance(est, IntervalEstimate):
-        return _efficacy_block(est)
-    return {
-        "method": est.method,
-        "scale": "risk-ratio",
-        "point": est.point,
-        "lower": est.lower,
-        "upper": est.upper,
-        "lower_undetermined": est.lower_undetermined,
-        "efficacy": {
+    block = asdict(est)
+    if isinstance(est, IntervalEstimate):
+        block["scale"] = "risk-ratio"
+        block["efficacy"] = {
             "point": est.efficacy_point,
             "lower": est.efficacy_lower,
             "upper": est.efficacy_upper,
-        },
-        "level": est.level,
-        "warnings": list(est.warnings),
-    }
+        }
+    return block
 
 
 def _cmd_estimate(args) -> int:
     counts = _resolve_counts(args)
     d = DiagnosticProfile(sensitivity=args.se, specificity=args.sp)
     prevalence = args.pi if args.pi is not None else counts.overall_rate
+    # A bad level is the input's fault, not one method's: it must not
+    # become an error block under every method of --method all.
+    _check_level(args.level)
     requested = _METHODS if args.method == "all" else (args.method,)
     results = []
     for method in requested:
-        if args.method == "all":
-            # A single undefined method should not sink the other blocks.
-            try:
-                results.append(_estimate_one(method, counts, d, args))
-            except DegenerateDataError:
-                raise
-            except EstimationError as exc:
-                results.append({"method": method, "error": str(exc)})
-        else:
+        try:
             results.append(_estimate_one(method, counts, d, args))
+        except EstimationError as exc:
+            # A single undefined method should not sink the other blocks.
+            if args.method != "all" or isinstance(exc, DegenerateDataError):
+                raise
+            results.append({"method": method, "error": str(exc)})
     doc = {
         "command": "estimate",
         "method": args.method,
@@ -332,8 +314,7 @@ def _cmd_sample_size(args) -> int:
         alpha=args.alpha,
         beta=args.beta,
     )
-    calculator = cramer_rao_sample_size if args.method == "cramer-rao" else wald_sample_size
-    total = calculator(spec, rounded_z=not args.exact_z)
+    total = _SIZE_METHODS[args.method](spec, rounded_z=not args.exact_z)
     doc = {
         "command": "sample-size",
         "method": args.method,
@@ -455,10 +436,7 @@ def _figure4(args) -> tuple[list[str], list[dict]]:
     pis = _parse_float_list(args.pi_list, "--pi-list") if args.pi_list else list(DEFAULT_PI_GRID)
     ve_values = [args.ve] if args.ve is not None else list(DEFAULT_VE_GRID)
     rows: list[dict] = []
-    for method, calculator in (
-        ("wald", wald_sample_size),
-        ("cramer-rao", cramer_rao_sample_size),
-    ):
+    for method, calculator in _SIZE_METHODS.items():
         for ve in ve_values:
             for pi in pis:
                 spec = SampleSizeSpec(ve=ve, delta=args.delta, pi=pi)

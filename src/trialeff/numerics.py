@@ -62,6 +62,12 @@ def _as_count(value, name: str) -> int:
     return whole
 
 
+def _check_level(level: float) -> None:
+    """DomainError unless the interval level lies strictly inside (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise DomainError(f"level must lie in (0, 1), got {level}")
+
+
 def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta function I_x(a, b).
 

@@ -46,6 +46,7 @@ from .errors import (
 )
 from .numerics import (
     Grid,
+    _check_level,
     grid_cdf,
     grid_normalize,
     grid_quantile,
@@ -165,11 +166,15 @@ def log_likelihood(
     )
 
 
-def _alpha_grid(grid_size: int) -> np.ndarray:
+def _check_grid_size(grid_size: int) -> None:
     if grid_size < MIN_GRID_SIZE:
         raise DomainError(f"grid_size must be at least {MIN_GRID_SIZE}, got {grid_size}")
     if grid_size > MAX_GRID_SIZE:
         raise DomainError(f"grid_size must be at most {MAX_GRID_SIZE}, got {grid_size}")
+
+
+def _alpha_grid(grid_size: int) -> np.ndarray:
+    _check_grid_size(grid_size)
     return np.linspace(0.0, 1.0, grid_size)
 
 
@@ -319,8 +324,7 @@ def cramer_rao_at_prevalence(
 def _information_interval(
     counts: TrialCounts, pi: float | None, d: DiagnosticProfile, level: float, rescaled: bool
 ) -> EfficacyEstimate:
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"level must lie in (0, 1), got {level}")
+    _check_level(level)
     model = _resolve(counts, pi, d, rescaled)
     raw = model.raw_mode
     mode = min(1.0, max(0.0, raw))
@@ -378,8 +382,7 @@ def credible_interval(
     Equal-tailed by default (the quantiles at (1 +/- level)/2); "hpd"
     selects the shortest interval of the requested mass instead.
     """
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"level must lie in (0, 1), got {level}")
+    _check_level(level)
     if method == "equal-tailed":
         lower = grid_quantile(post.grid, 0.5 * (1.0 - level))
         upper = grid_quantile(post.grid, 0.5 * (1.0 + level))

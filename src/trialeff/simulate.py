@@ -14,12 +14,13 @@ and any single replicate can be drawn again on its own.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, EstimationError
-from .posterior import _METHODS, MIN_GRID_SIZE, _interval
+from .numerics import _check_level
+from .posterior import _METHODS, MIN_GRID_SIZE, _check_grid_size, _interval
 from .trial import PERFECT_TEST, DiagnosticProfile, IntervalEstimate, TrialCounts
 
 
@@ -52,8 +53,8 @@ class SimulationConfig:
             raise DomainError(f"true efficacy must lie in [0, 1], got {self.ve}")
         if self.replicates < 1:
             raise DomainError(f"replicates must be at least 1, got {self.replicates}")
-        if not 0.0 < self.level < 1.0:
-            raise DomainError(f"level must lie in (0, 1), got {self.level}")
+        _check_level(self.level)
+        _check_grid_size(self.grid_size)
         unknown = set(self.methods) - set(_METHODS)
         if unknown:
             raise DomainError(f"unknown interval methods: {sorted(unknown)}")
@@ -81,20 +82,15 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class MethodResult:
-    """Coverage tally for one interval method."""
+    """Coverage tally for one interval method; None when nothing was evaluated."""
 
-    coverage: float
-    mean_width: float
+    coverage: float | None
+    mean_width: float | None
     evaluated: int
     failures: int
 
     def as_dict(self) -> dict:
-        return {
-            "coverage": self.coverage,
-            "mean_width": self.mean_width,
-            "evaluated": self.evaluated,
-            "failures": self.failures,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -170,25 +166,25 @@ def simulate_trial(config: SimulationConfig, rng: np.random.Generator) -> TrialC
     return TrialCounts(n_v=n, t_v=t_v, n_c=n, t_c=t_c)
 
 
-def _run_replicate(
-    config: SimulationConfig, index: int
-) -> tuple[TrialCounts, dict[str, tuple[bool, float, float] | None]]:
+def _run_replicate(config: SimulationConfig, index: int) -> list[ReplicateRecord]:
     rng = np.random.default_rng((config.seed, index))
     counts = simulate_trial(config, rng)
-    out: dict[str, tuple[bool, float, float] | None] = {}
+    records = []
     for method in config.methods:
         try:
             est = _interval(method, counts, config.level, grid_size=config.grid_size)
         except EstimationError:
-            out[method] = None
-            continue
-        if isinstance(est, IntervalEstimate):
-            lower, upper = est.efficacy_lower, est.efficacy_upper
+            lower = upper = covered = None
         else:
-            lower, upper = est.lower, est.upper
-        covered = lower <= config.ve <= upper
-        out[method] = (covered, lower, upper)
-    return counts, out
+            if isinstance(est, IntervalEstimate):
+                lower, upper = est.efficacy_lower, est.efficacy_upper
+            else:
+                lower, upper = est.lower, est.upper
+            covered = lower <= config.ve <= upper
+        records.append(
+            ReplicateRecord(index, counts.t_v, counts.t_c, method, lower, upper, covered)
+        )
+    return records
 
 
 def coverage_study(config: SimulationConfig, keep_replicates: bool = False) -> CoverageReport:
@@ -198,49 +194,25 @@ def coverage_study(config: SimulationConfig, keep_replicates: bool = False) -> C
     draws) are counted as failures and excluded from that method's
     coverage denominator.
     """
-    results = [_run_replicate(config, i) for i in range(config.replicates)]
-
+    records = [rec for i in range(config.replicates) for rec in _run_replicate(config, i)]
     methods: dict[str, MethodResult] = {}
     for method in config.methods:
-        covered = 0
+        done = [rec for rec in records if rec.method == method and rec.covered is not None]
+        # Widths add left to right from 0.0; builtin sum compensates its
+        # float additions from Python 3.12 on, which would move last bits.
         width_total = 0.0
-        evaluated = 0
-        failures = 0
-        for _, rep in results:
-            outcome = rep[method]
-            if outcome is None:
-                failures += 1
-                continue
-            evaluated += 1
-            covered += outcome[0]
-            width_total += outcome[2] - outcome[1]
+        for rec in done:
+            width_total += rec.upper - rec.lower
+        evaluated = len(done)
         methods[method] = MethodResult(
-            coverage=covered / evaluated if evaluated else float("nan"),
-            mean_width=width_total / evaluated if evaluated else float("nan"),
+            coverage=sum(rec.covered for rec in done) / evaluated if evaluated else None,
+            mean_width=width_total / evaluated if evaluated else None,
             evaluated=evaluated,
-            failures=failures,
+            failures=config.replicates - evaluated,
         )
-    records: tuple[ReplicateRecord, ...] | None = None
-    if keep_replicates:
-        rows = []
-        for index, (counts, rep) in enumerate(results):
-            for method in config.methods:
-                outcome = rep[method]
-                if outcome is None:
-                    rows.append(
-                        ReplicateRecord(index, counts.t_v, counts.t_c, method, None, None, None)
-                    )
-                else:
-                    rows.append(
-                        ReplicateRecord(
-                            index, counts.t_v, counts.t_c, method,
-                            outcome[1], outcome[2], outcome[0],
-                        )
-                    )
-        records = tuple(rows)
     return CoverageReport(
         config=config,
         replicates=config.replicates,
         methods=methods,
-        records=records,
+        records=tuple(records) if keep_replicates else None,
     )

@@ -118,6 +118,18 @@ class TestEstimate:
         assert "grid_size must be at most" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "method", ["all", "conditional", "wald", "cramer-rao", "fisher-rr"]
+    )
+    def test_bad_level_exits_2_under_every_method(self, method, capsys):
+        code, out, err = run_cli(
+            ["estimate", "--trial", "pfizer", "--level", "1.5", "--method", method],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "level must lie in (0, 1), got 1.5" in err
+
     def test_conflicting_count_sources_rejected(self, capsys):
         code, _, err = run_cli(
             ["estimate", "--trial", "az", "--tv", "1", "--nv", "10", "--tc", "2",
@@ -139,6 +151,21 @@ class TestSampleSize:
         doc = json.loads(out)
         assert doc["results"]["total_sample_size"] == 37632
         assert doc["inputs"]["rounded_z"] is True
+
+    def test_single_value_uses_the_named_method(self, capsys):
+        argv = ["sample-size", "--ve", "0.6", "--delta", "0.1", "--pi", "0.01"]
+        sizes = {}
+        for method in ("wald", "cramer-rao"):
+            code, out, _ = run_cli(argv + ["--method", method], capsys)
+            assert code == 0
+            sizes[method] = json.loads(out)["results"]["total_sample_size"]
+        code, out, _ = run_cli(
+            ["sample-size", "--table", "--ve", "0.6", "--delta", "0.1", "--pi", "0.01",
+             "--method", "wald"],
+            capsys,
+        )
+        assert int(parse_csv(out)[0]["n"]) == sizes["wald"]
+        assert sizes["wald"] < sizes["cramer-rao"]
 
     def test_zero_delta_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -299,6 +326,33 @@ class TestCoverage:
             capsys,
         )
         assert code == 2
+
+    @pytest.mark.parametrize("grid", ["501", "1000000000000"])
+    def test_out_of_range_grid_exits_2(self, grid, capsys):
+        code, out, err = run_cli(
+            ["coverage", "--n-per-arm", "2000", "--pi-c", "0.05", "--ve", "0.5",
+             "--replicates", "3", "--grid", grid, "--methods", "conditional"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "grid_size must be at" in err
+
+    def test_no_evaluated_replicate_is_strict_json_null(self, capsys):
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        code, out, _ = run_cli(
+            ["coverage", "--n-per-arm", "20", "--pi-c", "0.001", "--ve", "0.5",
+             "--replicates", "3", "--methods", "wald,conditional"],
+            capsys,
+        )
+        assert code == 0
+        methods = json.loads(out, parse_constant=reject)["results"]["methods"]
+        for result in methods.values():
+            assert result["coverage"] is None
+            assert result["mean_width"] is None
+            assert result["failures"] == 3
 
 
 class TestDiagnostics:

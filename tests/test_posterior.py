@@ -16,10 +16,13 @@ from trialeff import (
     FalsePositiveParadoxError,
     PERFECT_TEST,
     TRIAL_PRESETS,
+    SimulationConfig,
     TrialCounts,
+    cramer_rao_at_prevalence,
     cramer_rao_interval,
     credible_interval,
     fisher_information,
+    fisher_rr_interval,
     grid_integral,
     grid_quantile,
     log_binomial_coefficient,
@@ -442,3 +445,18 @@ class TestMarginalizeOverDiagnostics:
             marginalize_over_diagnostics(
                 AZ, se_range=(0.3, 0.4), sp_range=(0.3, 0.4), grid_size=4001
             )
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, math.nan])
+def test_every_level_check_is_the_same_check(level):
+    post = posterior(AZ, grid_size=2001)
+    for build in (
+        lambda: credible_interval(post, level),
+        lambda: cramer_rao_interval(AZ, level=level),
+        lambda: cramer_rao_at_prevalence(AZ, 0.5, level=level),
+        lambda: wald_efficacy_interval(AZ, level),
+        lambda: fisher_rr_interval(AZ, level),
+        lambda: SimulationConfig(n_per_arm=100, prevalence=0.1, ve=0.5, level=level),
+    ):
+        with pytest.raises(DomainError, match=rf"level must lie in \(0, 1\), got {level}"):
+            build()

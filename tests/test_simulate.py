@@ -1,5 +1,9 @@
 """Tests for the Monte Carlo trial simulator and coverage harness."""
 
+import functools
+import json
+import operator
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -13,6 +17,10 @@ from trialeff import (
     replicates_to_csv,
     simulate_trial,
 )
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 def make_config(**overrides):
@@ -140,6 +148,40 @@ class TestCoverageStudy:
             make_config(prevalence=0.0)
         with pytest.raises(DomainError):
             make_config(methods=("conditional", "bayes-factor"))
+        # Caught per replicate, a bad grid would be tallied as method failures.
+        with pytest.raises(DomainError, match="grid_size must be at least"):
+            make_config(grid_size=2000)
+        with pytest.raises(DomainError, match="grid_size must be at most"):
+            make_config(grid_size=10**12)
+
+    def test_tallies_match_the_records(self):
+        methods = ("conditional", "wald", "cramer-rao", "fisher-rr")
+        config = make_config(
+            n_per_arm=500, prevalence=0.01, ve=0.9, replicates=120, seed=5, methods=methods
+        )
+        report = coverage_study(config, keep_replicates=True)
+        assert report.methods["wald"].failures > 0
+        for method in methods:
+            rows = [rec for rec in report.records if rec.method == method]
+            done = [rec for rec in rows if rec.covered is not None]
+            result = report.methods[method]
+            assert len(rows) == config.replicates
+            assert result.evaluated == len(done)
+            assert result.failures == len(rows) - len(done)
+            assert result.coverage == sum(rec.covered for rec in done) / len(done)
+            # Added left to right from 0.0, as the report adds them.
+            widths = [rec.upper - rec.lower for rec in done]
+            assert result.mean_width == functools.reduce(operator.add, widths, 0.0) / len(done)
+
+    def test_no_evaluated_replicate_reports_null_not_nan(self):
+        # About 0.02 expected cases per arm: no method is defined on any draw.
+        config = make_config(n_per_arm=20, prevalence=0.001, ve=0.5, replicates=3)
+        report = coverage_study(config)
+        for result in report.methods.values():
+            assert (result.coverage, result.mean_width, result.evaluated) == (None, None, 0)
+            assert result.failures == 3
+        doc = json.loads(report.to_json(), parse_constant=_reject_constant)
+        assert doc["methods"]["wald"]["coverage"] is None
 
     def test_repeated_methods_run_once_in_first_seen_order(self):
         config = make_config(replicates=5, methods=("wald", "conditional", "wald"))
