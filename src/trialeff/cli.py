@@ -180,12 +180,32 @@ def _emit_json(doc: dict, output: Path | None) -> None:
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", output)
 
 
-def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
+def _csv_text(rows) -> str:
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
+
+
+def _density_block(fixed: tuple, post: PosteriorGrid) -> str:
+    """The CSV rows ``(*fixed, alpha, density)``, one per grid point.
+
+    csv.writer formats the fixed cells once, into a prefix.  It writes a
+    Python float as its ``repr``, so each grid point is just its two
+    ``repr``s; ``tolist`` makes them Python floats, whose ``repr`` is not
+    numpy's ``np.float64(...)``.
+    """
+    # The empty last cell leaves the prefix's trailing comma.
+    prefix = _csv_text([(*fixed, "")])[:-1] if fixed else ""
+    return "".join(
+        f"{prefix}{alpha!r},{density!r}\n"
+        for alpha, density in zip(post.efficacies.tolist(), post.density.tolist())
+    )
+
+
+def _density_csv(header: tuple, panels: list[tuple[tuple, PosteriorGrid]]) -> str:
+    # Every posterior is built before any is formatted: interleaving the
+    # formatting with the builds leaves each build slower.
+    return _csv_text([header]) + "".join(_density_block(fixed, post) for fixed, post in panels)
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
@@ -289,20 +309,13 @@ def _cmd_sample_size(args) -> int:
             method=args.method,
             rounded_z=not args.exact_z,
         )
-        fieldnames = ["ve", "delta", "pi", "alpha", "beta", "method", "n"]
+        header = ("ve", "delta", "pi", "alpha", "beta", "method", "n")
+        # csv.writer writes an undefined n (None) as an empty cell.
         csv_rows = [
-            {
-                "ve": row.ve,
-                "delta": row.delta,
-                "pi": row.pi,
-                "alpha": row.alpha,
-                "beta": row.beta,
-                "method": row.method,
-                "n": "" if row.n is None else row.n,
-            }
+            (row.ve, row.delta, row.pi, row.alpha, row.beta, row.method, row.n)
             for row in rows
         ]
-        _emit(_csv_text(fieldnames, csv_rows), args.output)
+        _emit(_csv_text([header, *csv_rows]), args.output)
         return 0
 
     if args.ve is None or args.delta is None or args.pi is None:
@@ -337,14 +350,14 @@ def _cmd_sample_size(args) -> int:
 # curve
 
 
-def _density_rows(post: PosteriorGrid, fixed: dict) -> list[dict]:
-    rows = []
-    for alpha, density in zip(post.efficacies, post.density):
-        row = dict(fixed)
-        row["alpha"] = float(alpha)
-        row["density"] = float(density)
-        rows.append(row)
-    return rows
+def _pi_list(args, default: tuple[float, ...]) -> list[float]:
+    if not args.pi_list:
+        return list(default)
+    pis = _parse_float_list(args.pi_list, "--pi-list")
+    for pi in pis:
+        if not 0.0 < pi <= 1.0:
+            raise DomainError(f"--pi-list values must lie in (0, 1], got {pi}")
+    return pis
 
 
 def _split_cases(total_cases: int, ve: float) -> tuple[int, int]:
@@ -353,9 +366,9 @@ def _split_cases(total_cases: int, ve: float) -> tuple[int, int]:
     return total_cases - t_c, t_c
 
 
-def _figure1(args) -> tuple[list[str], list[dict]]:
-    pis = _parse_float_list(args.pi_list, "--pi-list") if args.pi_list else list(_CURVE_PI_DEFAULT)
-    rows: list[dict] = []
+def _figure1(args) -> str:
+    pis = _pi_list(args, _CURVE_PI_DEFAULT)
+    panels = []
     # Fixed-population panel: the case totals scale with the prevalence.
     ve = args.ve if args.ve is not None else 0.7
     n = args.n
@@ -365,7 +378,7 @@ def _figure1(args) -> tuple[list[str], list[dict]]:
         t_v, t_c = _split_cases(total_cases, ve)
         counts = TrialCounts(n_v=half, t_v=t_v, n_c=n - half, t_c=t_c)
         post = posterior(counts, pi=pi, grid_size=args.grid)
-        rows.extend(_density_rows(post, {"panel": "fixed-population", "pi": pi, "n": n}))
+        panels.append((("fixed-population", pi, n), post))
     # Fixed-cases panel: the same totals reanalysed at each prevalence.
     ve_fixed = args.ve if args.ve is not None else 0.9
     t = args.t
@@ -374,39 +387,37 @@ def _figure1(args) -> tuple[list[str], list[dict]]:
         n_arm = max(t_c, t_v, math.ceil(t / (2.0 * pi)))
         counts = TrialCounts(n_v=n_arm, t_v=t_v, n_c=n_arm, t_c=t_c)
         post = posterior_at_prevalence(counts, pi, grid_size=args.grid)
-        rows.extend(
-            _density_rows(post, {"panel": "fixed-cases", "pi": pi, "n": round(t / pi)})
-        )
-    return ["panel", "pi", "n", "alpha", "density"], rows
+        panels.append((("fixed-cases", pi, round(t / pi)), post))
+    return _density_csv(("panel", "pi", "n", "alpha", "density"), panels)
 
 
-def _figure2(args) -> tuple[list[str], list[dict]]:
+def _figure2(args) -> str:
     names = [args.trial] if args.trial else sorted(TRIAL_PRESETS)
-    rows: list[dict] = []
+    panels = []
     for name in names:
         counts = TRIAL_PRESETS[name]
         post = posterior(counts, grid_size=args.grid)
-        rows.extend(_density_rows(post, {"trial": name, "curve": "conditional"}))
+        panels.append(((name, "conditional"), post))
         limit = posterior_at_prevalence(counts, 1.0, grid_size=args.grid)
-        rows.extend(_density_rows(limit, {"trial": name, "curve": "wald-limit"}))
-    return ["trial", "curve", "alpha", "density"], rows
+        panels.append(((name, "wald-limit"), limit))
+    return _density_csv(("trial", "curve", "alpha", "density"), panels)
 
 
-def _figure3(args) -> tuple[list[str], list[dict]]:
+def _figure3(args) -> str:
     if (args.se is None) != (args.sp is None):
         raise DomainError("override --se and --sp together for figure 3")
     if args.se is not None:
-        panels = [("custom", DiagnosticProfile(args.se, args.sp))]
+        profiles = [("custom", DiagnosticProfile(args.se, args.sp))]
     else:
-        panels = [
+        profiles = [
             ("specificity-loss", DiagnosticProfile(sensitivity=1.0, specificity=0.999)),
             ("sensitivity-loss", DiagnosticProfile(sensitivity=0.95, specificity=1.0)),
         ]
-    pis = _parse_float_list(args.pi_list, "--pi-list") if args.pi_list else list(_FIG3_PI_DEFAULT)
+    pis = _pi_list(args, _FIG3_PI_DEFAULT)
     ve = args.ve if args.ve is not None else 0.7
     half = args.n // 2
-    rows: list[dict] = []
-    for label, profile in panels:
+    panels = []
+    for label, profile in profiles:
         for pi in pis:
             rate_c = 2.0 * pi / (2.0 - ve)
             rate_v = (1.0 - ve) * rate_c
@@ -418,57 +429,39 @@ def _figure3(args) -> tuple[list[str], list[dict]]:
                                     + profile.false_positive_rate * (1.0 - rate_v))))
             counts = TrialCounts(n_v=half, t_v=t_v, n_c=half, t_c=t_c)
             post = posterior(counts, d=profile, grid_size=args.grid)
-            rows.extend(
-                _density_rows(
-                    post,
-                    {
-                        "panel": label,
-                        "se": profile.sensitivity,
-                        "sp": profile.specificity,
-                        "pi": pi,
-                    },
-                )
-            )
-    return ["panel", "se", "sp", "pi", "alpha", "density"], rows
+            panels.append(((label, profile.sensitivity, profile.specificity, pi), post))
+    return _density_csv(("panel", "se", "sp", "pi", "alpha", "density"), panels)
 
 
-def _figure4(args) -> tuple[list[str], list[dict]]:
-    pis = _parse_float_list(args.pi_list, "--pi-list") if args.pi_list else list(DEFAULT_PI_GRID)
+def _figure4(args) -> str:
+    pis = _pi_list(args, DEFAULT_PI_GRID)
     ve_values = [args.ve] if args.ve is not None else list(DEFAULT_VE_GRID)
-    rows: list[dict] = []
+    rows = [("method", "ve", "delta", "pi", "n")]
     for method, calculator in _SIZE_METHODS.items():
         for ve in ve_values:
             for pi in pis:
                 spec = SampleSizeSpec(ve=ve, delta=args.delta, pi=pi)
-                rows.append(
-                    {
-                        "method": method,
-                        "ve": ve,
-                        "delta": args.delta,
-                        "pi": pi,
-                        "n": calculator(spec),
-                    }
-                )
-    return ["method", "ve", "delta", "pi", "n"], rows
+                rows.append((method, ve, args.delta, pi, calculator(spec)))
+    return _csv_text(rows)
 
 
-def _dump_posterior(args) -> tuple[list[str], list[dict]]:
+def _dump_posterior(args) -> str:
     counts = _resolve_counts(args)
     se = 1.0 if args.se is None else args.se
     sp = 1.0 if args.sp is None else args.sp
     d = DiagnosticProfile(sensitivity=se, specificity=sp)
     prevalence = args.pi if args.pi is not None else counts.overall_rate
     post = posterior_at_prevalence(counts, prevalence, d, args.grid)
-    return ["alpha", "density"], _density_rows(post, {})
+    return _density_csv(("alpha", "density"), [((), post)])
 
 
 def _cmd_curve(args) -> int:
-    builders = {1: _figure1, 2: _figure2, 3: _figure3, 4: _figure4}
-    if args.figure is None:
-        fieldnames, rows = _dump_posterior(args)
-    else:
-        fieldnames, rows = builders[args.figure](args)
-    _emit(_csv_text(fieldnames, rows), args.output)
+    # Checked before any panel is built: outside [0, 1] the case split
+    # divides by zero at 2 and yields curves of no trial elsewhere.
+    if args.ve is not None and not 0.0 <= args.ve <= 1.0:
+        raise DomainError(f"--ve must lie in [0, 1], got {args.ve}")
+    builders = {None: _dump_posterior, 1: _figure1, 2: _figure2, 3: _figure3, 4: _figure4}
+    _emit(builders[args.figure](args), args.output)
     return 0
 
 
@@ -513,11 +506,8 @@ def _cmd_diagnostics(args) -> int:
     profile = DiagnosticProfile(sensitivity=args.se, specificity=args.sp)
     if args.curve:
         sweep = [i / 1000 for i in range(1, 1000)]
-        rows = [
-            {"pi": pi, "ppv": ppv(pi, profile), "npv": npv(pi, profile)}
-            for pi in sweep
-        ]
-        _emit(_csv_text(["pi", "ppv", "npv"], rows), args.output)
+        rows = [(pi, ppv(pi, profile), npv(pi, profile)) for pi in sweep]
+        _emit(_csv_text([("pi", "ppv", "npv"), *rows]), args.output)
         return 0
     if args.pi is None:
         raise DomainError("provide --pi for a point evaluation or --curve for a sweep")

@@ -19,9 +19,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DomainError, EstimationError
-from .numerics import _check_level
+from .numerics import _as_count, _check_level
 from .posterior import _METHODS, MIN_GRID_SIZE, _check_grid_size, _interval
 from .trial import PERFECT_TEST, DiagnosticProfile, IntervalEstimate, TrialCounts
+
+# numpy's binomial draws take n as an int64; a larger n raises OverflowError.
+_MAX_BINOMIAL_N = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -45,8 +48,12 @@ class SimulationConfig:
     grid_size: int = MIN_GRID_SIZE
 
     def __post_init__(self):
-        if self.n_per_arm < 1:
-            raise DomainError(f"n_per_arm must be at least 1, got {self.n_per_arm}")
+        for name in ("n_per_arm", "replicates", "seed"):
+            object.__setattr__(self, name, _as_count(getattr(self, name), name))
+        if not 1 <= self.n_per_arm <= _MAX_BINOMIAL_N:
+            raise DomainError(
+                f"n_per_arm must lie in [1, {_MAX_BINOMIAL_N}], got {self.n_per_arm}"
+            )
         if not 0.0 < self.prevalence <= 1.0:
             raise DomainError(f"prevalence must lie in (0, 1], got {self.prevalence}")
         if not 0.0 <= self.ve <= 1.0:

@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trialeff import cli
 from trialeff.cli import main
 
 
@@ -282,6 +286,98 @@ class TestCurve:
         code, _, err = run_cli(["curve"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--figure", "1", "--ve", "2"],
+            ["--figure", "3", "--ve", "2"],
+            ["--figure", "1", "--ve", "1.5"],
+            ["--figure", "1", "--ve", "-1"],
+            ["--figure", "3", "--ve", "-3"],
+            ["--figure", "1", "--pi-list", "inf"],
+            ["--figure", "1", "--pi-list", "nan"],
+            ["--figure", "3", "--pi-list", "0.1,0"],
+        ],
+    )
+    def test_out_of_range_efficacy_or_prevalence_exits_2(self, argv, capsys):
+        code, out, err = run_cli(["curve", *argv], capsys)
+        assert code == 2
+        assert out == ""
+        assert "must lie in" in err
+
+    FIG1 = ["panel", "pi", "n", "alpha", "density"]
+    FIG3 = ["panel", "se", "sp", "pi", "alpha", "density"]
+
+    @pytest.mark.parametrize(
+        "argv, fieldnames",
+        [
+            (["--figure", "1", "--pi-list", "0.1,0.01"], FIG1),
+            (["--figure", "3", "--pi-list", "0.1,0.01"], FIG3),
+            (["--figure", "1", "--ve", "0.5"], FIG1),
+            (["--figure", "3", "--se", "0.9", "--sp", "0.99"], FIG3),
+            (
+                ["--tv", "8", "--nv", "18198", "--tc", "162", "--nc", "18325",
+                 "--pi", "0.01", "--se", "0.95", "--sp", "0.999"],
+                ["alpha", "density"],
+            ),
+        ],
+    )
+    def test_density_panels_match_a_dict_writer(self, argv, fieldnames, capsys, monkeypatch):
+        panels = []
+        block = cli._density_block
+
+        def spy(fixed, post):
+            panels.append((fixed, post))
+            return block(fixed, post)
+
+        monkeypatch.setattr(cli, "_density_block", spy)
+        code, out, _ = run_cli(["curve", *argv], capsys)
+        assert code == 0
+        assert panels
+        buffer = io.StringIO()
+        writer = csv.DictWriter(buffer, fieldnames=fieldnames, lineterminator="\n")
+        writer.writeheader()
+        for fixed, post in panels:
+            for alpha, density in zip(post.efficacies, post.density):
+                row = dict(zip(fieldnames, fixed))
+                row["alpha"] = float(alpha)
+                row["density"] = float(density)
+                writer.writerow(row)
+        # The first differing line, not pytest's diff of two megabyte strings.
+        lines, expected = out.splitlines(), buffer.getvalue().splitlines()
+        assert len(lines) == len(expected)
+        assert next(((a, b) for a, b in zip(lines, expected) if a != b), None) is None
+
+
+# repr switches notation at 1e-4 and 1e16; 5e-324 is the smallest subnormal.
+_GRID_FLOATS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-5, 1e-4, 1e16, 1e15 + 0.5, 2.5e-308]),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+)
+_FIXED_CELLS = st.one_of(
+    st.sampled_from(["", "a,b", 'say "hi"', "line\nbreak", " pad "]),
+    st.text(max_size=8),
+    st.integers(),
+    st.floats(allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fixed=st.lists(_FIXED_CELLS, max_size=4).map(tuple),
+    points=st.lists(st.tuples(_GRID_FLOATS, _GRID_FLOATS), max_size=8),
+)
+def test_density_block_equals_csv_writer_rows(fixed, points):
+    post = SimpleNamespace(
+        efficacies=np.array([alpha for alpha, _ in points], dtype=float),
+        density=np.array([density for _, density in points], dtype=float),
+    )
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(
+        (*fixed, alpha, density) for alpha, density in points
+    )
+    assert cli._density_block(fixed, post) == buffer.getvalue()
+
 
 class TestCoverage:
     BASE = [
@@ -337,6 +433,21 @@ class TestCoverage:
         assert code == 2
         assert out == ""
         assert "grid_size must be at" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n-per-arm", "1000000000000000000000000000000"], "n_per_arm must lie in"),
+            (["--seed", "-1"], "seed must be a non-negative integer"),
+        ],
+    )
+    def test_out_of_range_count_exits_2(self, flags, message, capsys):
+        argv = ["coverage", "--n-per-arm", "2000", "--pi-c", "0.05", "--ve", "0.5",
+                "--replicates", "2", *flags]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_no_evaluated_replicate_is_strict_json_null(self, capsys):
         def reject(name):

@@ -153,6 +153,13 @@ class TestCoverageStudy:
             make_config(grid_size=2000)
         with pytest.raises(DomainError, match="grid_size must be at most"):
             make_config(grid_size=10**12)
+        # Beyond int64, numpy's binomial draw raises OverflowError.
+        with pytest.raises(DomainError, match=r"n_per_arm must lie in \[1, 9223372036854775807\]"):
+            make_config(n_per_arm=10**30)
+        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+            make_config(seed=-1)
+        with pytest.raises(DomainError, match="replicates must be a non-negative integer"):
+            make_config(replicates=2.5)
 
     def test_tallies_match_the_records(self):
         methods = ("conditional", "wald", "cramer-rao", "fisher-rr")
