@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .diagnostics import npv, ppv, prevalence_threshold
 from .errors import DegenerateDataError, DomainError, EstimationError
-from .numerics import _check_level
+from .numerics import _check_level, _check_prevalence
 from .posterior import (
     _METHODS,
     DEFAULT_GRID_SIZE,
@@ -258,9 +258,11 @@ def _cmd_estimate(args) -> int:
     counts = _resolve_counts(args)
     d = DiagnosticProfile(sensitivity=args.se, specificity=args.sp)
     prevalence = args.pi if args.pi is not None else counts.overall_rate
-    # A bad level is the input's fault, not one method's: it must not
-    # become an error block under every method of --method all.
+    # A bad level or prevalence is the input's fault, not one method's: it
+    # must not become an error block under every method of --method all.
     _check_level(args.level)
+    if args.pi is not None:
+        _check_prevalence(args.pi)
     requested = _METHODS if args.method == "all" else (args.method,)
     results = []
     for method in requested:
@@ -309,8 +311,14 @@ def _cmd_sample_size(args) -> int:
             method=args.method,
             rounded_z=not args.exact_z,
         )
+        # Every cell is defined on valid lists (2 - VE - pi > 0 holds inside
+        # each value's own range), so an undefined cell means a bad value.
+        for row in rows:
+            if row.error is not None:
+                raise DomainError(
+                    f"ve={row.ve}, delta={row.delta}, pi={row.pi}: {row.error}"
+                )
         header = ("ve", "delta", "pi", "alpha", "beta", "method", "n")
-        # csv.writer writes an undefined n (None) as an empty cell.
         csv_rows = [
             (row.ve, row.delta, row.pi, row.alpha, row.beta, row.method, row.n)
             for row in rows

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,6 +66,12 @@ def _check_level(level: float) -> None:
     """DomainError unless the interval level lies strictly inside (0, 1)."""
     if not 0.0 < level < 1.0:
         raise DomainError(f"level must lie in (0, 1), got {level}")
+
+
+def _check_prevalence(pi: float) -> None:
+    """DomainError unless an assumed prevalence lies in (0, 1]."""
+    if not 0.0 < pi <= 1.0:
+        raise DomainError(f"prevalence must lie in (0, 1], got {pi}")
 
 
 def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
@@ -204,10 +210,15 @@ def _acklam(p: float) -> float:
 
 @dataclass(frozen=True)
 class Grid:
-    """A non-negative density tabulated on strictly increasing abscissae."""
+    """A non-negative density tabulated on strictly increasing abscissae.
+
+    The arrays are read-only copies, so the CDF that :func:`grid_cdf`
+    computes on first use stays valid and is kept on the grid.
+    """
 
     points: np.ndarray
     values: np.ndarray
+    _cdf: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=np.float64)
@@ -221,9 +232,16 @@ class Grid:
             )
         if points.shape[0] < 2:
             raise DomainError("a grid needs at least two points")
-        if not np.all(np.isfinite(points)) or not np.all(np.diff(points) > 0):
+        # A NaN fails every comparison, so strictly increasing points with
+        # finite ends are all finite.
+        if not (
+            math.isfinite(points[0])
+            and math.isfinite(points[-1])
+            and (points[1:] > points[:-1]).all()
+        ):
             raise DomainError("grid points must be finite and strictly increasing")
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
+        # min and max propagate a NaN, which fails both comparisons.
+        if not (values.min() >= 0.0 and values.max() < math.inf):
             raise DomainError("grid values must be finite and non-negative")
         points = points.copy()
         values = values.copy()
@@ -237,8 +255,15 @@ class Grid:
 
 
 def grid_integral(g: Grid) -> float:
-    """Trapezoid-rule integral of the tabulated density."""
-    return float(np.trapezoid(g.values, g.points))
+    """Trapezoid-rule integral of the tabulated density.
+
+    The operations of ``np.trapezoid(g.values, g.points)`` in its order,
+    with the products formed in place, so the result is bit-identical.
+    """
+    terms = np.add(g.values[1:], g.values[:-1])
+    terms *= np.subtract(g.points[1:], g.points[:-1])
+    terms /= 2.0
+    return float(terms.sum())
 
 
 def grid_normalize(g: Grid) -> Grid:
@@ -252,13 +277,26 @@ def grid_normalize(g: Grid) -> Grid:
 
 
 def grid_cdf(g: Grid) -> np.ndarray:
-    """Cumulative trapezoid sums of the density, rescaled to end at one."""
-    segments = 0.5 * (g.values[1:] + g.values[:-1]) * np.diff(g.points)
-    cdf = np.concatenate(([0.0], np.cumsum(segments)))
+    """Cumulative trapezoid sums of the density, rescaled to end at one.
+
+    Computed on the first call and kept on the grid; every call returns
+    the same read-only array.
+    """
+    if g._cdf is not None:
+        return g._cdf
+    cdf = np.empty(len(g))
+    cdf[0] = 0.0
+    segments = np.add(g.values[1:], g.values[:-1], out=cdf[1:])
+    segments *= 0.5
+    segments *= np.subtract(g.points[1:], g.points[:-1])
+    np.cumsum(segments, out=segments)
     total = cdf[-1]
     if total <= 0.0:
         raise DegenerateDensityError("density integrates to zero")
-    return cdf / total
+    cdf /= total
+    cdf.flags.writeable = False
+    object.__setattr__(g, "_cdf", cdf)
+    return cdf
 
 
 def grid_quantile(g: Grid, q: float) -> float:

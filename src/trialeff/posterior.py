@@ -46,7 +46,9 @@ from .errors import (
 )
 from .numerics import (
     Grid,
+    _as_count,
     _check_level,
+    _check_prevalence,
     grid_cdf,
     grid_normalize,
     grid_quantile,
@@ -122,8 +124,8 @@ def _resolve(
     N = t/T.  Guards: prevalence domain, then no control-arm cases, then
     an observed rate no larger than the false positive rate.
     """
-    if rescaled and not 0.0 < pi <= 1.0:
-        raise DomainError(f"prevalence must lie in (0, 1], got {pi}")
+    if rescaled:
+        _check_prevalence(pi)
     prevalence = counts.overall_rate if pi is None else float(pi)
     rate = observed_rate(prevalence, d)
     if counts.t_c == 0:
@@ -183,14 +185,23 @@ def _log_kernel(alpha: np.ndarray, model: _Model) -> np.ndarray:
 
     The success probability p rises with alpha and is positive once
     resolved, so only a tail can reach 1; it gets zero density instead
-    of raising, which keeps prevalence-one analyses usable.
+    of raising, which keeps prevalence-one analyses usable.  The terms
+    are formed in place but in the order of
+    ``t_c * log(p) + (N - t_c) * log1p(-p)``, so every value is the one
+    that expression gives.
     """
-    p = model.rate / (2.0 - alpha)
-    inside = p[: np.searchsorted(p, 1.0)]
-    out = np.full(alpha.shape, -np.inf)
-    out[: inside.size] = (
-        model.t_c * np.log(inside) + (model.total_n - model.t_c) * np.log1p(-inside)
-    )
+    p = np.subtract(2.0, alpha)
+    np.divide(model.rate, p, out=p)
+    k = int(np.searchsorted(p, 1.0))
+    inside = p[:k]
+    out = np.empty_like(p)
+    out[k:] = -np.inf
+    head = np.log(inside, out=out[:k])
+    head *= model.t_c
+    np.negative(inside, out=inside)
+    np.log1p(inside, out=inside)
+    inside *= model.total_n - model.t_c
+    head += inside
     return out
 
 
@@ -214,9 +225,9 @@ def _build_grid(
 ) -> PosteriorGrid:
     alpha = _alpha_grid(grid_size)
     notes = _balance_warnings(counts)
-    log_density = _log_kernel(alpha, model)
-    log_density -= log_density.max()
-    grid = grid_normalize(Grid(alpha, np.exp(log_density)))
+    density = _log_kernel(alpha, model)
+    density -= density.max()
+    grid = grid_normalize(Grid(alpha, np.exp(density, out=density)))
     return PosteriorGrid(
         grid=grid,
         prevalence=model.prevalence,
@@ -495,6 +506,9 @@ def marginalize_over_diagnostics(
     where the observed rate would not exceed the false positive rate,
     are excluded with a warning; it is an error only if nothing is left.
     """
+    lattice_size = _as_count(lattice_size, "lattice_size")
+    if lattice_size < 1:
+        raise DomainError(f"lattice_size must be at least 1, got {lattice_size}")
     se_values = _lattice(se_range, lattice_size, "sensitivity")
     sp_values = _lattice(sp_range, lattice_size, "specificity")
     alpha = _alpha_grid(grid_size)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .numerics import normal_quantile
+from .numerics import _check_prevalence, normal_quantile
 
 DEFAULT_VE_GRID = (0.0, 0.3, 0.6, 0.9)
 DEFAULT_DELTA_GRID = (0.1, 0.2, 0.3, 0.4)
@@ -40,8 +40,7 @@ class SampleSizeSpec:
             raise DomainError(f"anticipated efficacy must lie in [0, 1), got {self.ve}")
         if not 0.0 < self.delta <= 1.0:
             raise DomainError(f"effect size must lie in (0, 1], got {self.delta}")
-        if not 0.0 < self.pi <= 1.0:
-            raise DomainError(f"prevalence must lie in (0, 1], got {self.pi}")
+        _check_prevalence(self.pi)
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0.0 < self.beta < 1.0:

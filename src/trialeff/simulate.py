@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DomainError, EstimationError
-from .numerics import _as_count, _check_level
+from .numerics import _as_count, _check_level, _check_prevalence
 from .posterior import _METHODS, MIN_GRID_SIZE, _check_grid_size, _interval
 from .trial import PERFECT_TEST, DiagnosticProfile, IntervalEstimate, TrialCounts
 
@@ -54,8 +54,7 @@ class SimulationConfig:
             raise DomainError(
                 f"n_per_arm must lie in [1, {_MAX_BINOMIAL_N}], got {self.n_per_arm}"
             )
-        if not 0.0 < self.prevalence <= 1.0:
-            raise DomainError(f"prevalence must lie in (0, 1], got {self.prevalence}")
+        _check_prevalence(self.prevalence)
         if not 0.0 <= self.ve <= 1.0:
             raise DomainError(f"true efficacy must lie in [0, 1], got {self.ve}")
         if self.replicates < 1:
@@ -173,25 +172,21 @@ def simulate_trial(config: SimulationConfig, rng: np.random.Generator) -> TrialC
     return TrialCounts(n_v=n, t_v=t_v, n_c=n, t_c=t_c)
 
 
-def _run_replicate(config: SimulationConfig, index: int) -> list[ReplicateRecord]:
-    rng = np.random.default_rng((config.seed, index))
-    counts = simulate_trial(config, rng)
-    records = []
+def _evaluate(config: SimulationConfig, counts: TrialCounts) -> list[tuple]:
+    """Each method's ``(lower, upper, covered)`` on one draw; all None when undefined."""
+    outcomes = []
     for method in config.methods:
         try:
             est = _interval(method, counts, config.level, grid_size=config.grid_size)
         except EstimationError:
-            lower = upper = covered = None
+            outcomes.append((None, None, None))
+            continue
+        if isinstance(est, IntervalEstimate):
+            lower, upper = est.efficacy_lower, est.efficacy_upper
         else:
-            if isinstance(est, IntervalEstimate):
-                lower, upper = est.efficacy_lower, est.efficacy_upper
-            else:
-                lower, upper = est.lower, est.upper
-            covered = lower <= config.ve <= upper
-        records.append(
-            ReplicateRecord(index, counts.t_v, counts.t_c, method, lower, upper, covered)
-        )
-    return records
+            lower, upper = est.lower, est.upper
+        outcomes.append((lower, upper, lower <= config.ve <= upper))
+    return outcomes
 
 
 def coverage_study(config: SimulationConfig, keep_replicates: bool = False) -> CoverageReport:
@@ -199,9 +194,22 @@ def coverage_study(config: SimulationConfig, keep_replicates: bool = False) -> C
 
     Replicates where a method is undefined (zero cells, degenerate
     draws) are counted as failures and excluded from that method's
-    coverage denominator.
+    coverage denominator.  An outcome depends on the draw only through
+    its counts, so each distinct ``(t_v, t_c)`` is evaluated once and its
+    outcome reused for every replicate that repeats it, which many do at
+    low incidence.
     """
-    records = [rec for i in range(config.replicates) for rec in _run_replicate(config, i)]
+    outcomes: dict[tuple[int, int], list[tuple]] = {}
+    records = []
+    for index in range(config.replicates):
+        counts = simulate_trial(config, np.random.default_rng((config.seed, index)))
+        key = (counts.t_v, counts.t_c)
+        if key not in outcomes:
+            outcomes[key] = _evaluate(config, counts)
+        records.extend(
+            ReplicateRecord(index, *key, method, *outcome)
+            for method, outcome in zip(config.methods, outcomes[key])
+        )
     methods: dict[str, MethodResult] = {}
     for method in config.methods:
         done = [rec for rec in records if rec.method == method and rec.covered is not None]

@@ -134,6 +134,17 @@ class TestEstimate:
         assert out == ""
         assert "level must lie in (0, 1), got 1.5" in err
 
+    @pytest.mark.parametrize("pi", ["inf", "nan", "0", "2"])
+    @pytest.mark.parametrize(
+        "method", ["all", "conditional", "wald", "cramer-rao", "fisher-rr"]
+    )
+    def test_bad_prevalence_exits_2_under_every_method(self, method, pi, capsys):
+        code, out, err = run_cli(
+            ["estimate", "--trial", "pfizer", "--pi", pi, "--method", method], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "prevalence must lie in (0, 1]" in err
+
     def test_conflicting_count_sources_rejected(self, capsys):
         code, _, err = run_cli(
             ["estimate", "--trial", "az", "--tv", "1", "--nv", "10", "--tc", "2",
@@ -187,6 +198,19 @@ class TestSampleSize:
         assert first["ve"] == "0.0" and first["pi"] == "0.5"
         assert first["n"] == "37632"
         assert out.endswith("\n") and "\r" not in out
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--pi", "nan"], "pi=nan: prevalence must lie in (0, 1], got nan"),
+            (["--ve", "inf"], "ve=inf, delta=0.1, pi=0.5: anticipated efficacy must lie in [0, 1)"),
+        ],
+        ids=["pi-nan", "ve-inf"],
+    )
+    def test_table_with_an_undefined_cell_exits_2(self, flags, message, capsys):
+        code, out, err = run_cli(["sample-size", "--table", *flags], capsys)
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_table_with_explicit_lists(self, capsys):
         code, out, _ = run_cli(

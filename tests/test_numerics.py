@@ -23,6 +23,7 @@ from trialeff import (
     normal_quantile,
     regularized_incomplete_beta,
 )
+from trialeff.numerics import grid_cdf
 
 mp.mp.dps = 50
 
@@ -213,11 +214,48 @@ class TestGrid:
             Grid(np.array([0.0]), np.array([1.0]))  # too short
         with pytest.raises(DomainError):
             Grid(np.array([0.0, 1.0]), np.array([1.0, np.inf]))  # non-finite
+        with pytest.raises(DomainError, match="finite and strictly increasing"):
+            Grid(np.array([0.0, np.nan, 1.0]), np.ones(3))  # NaN point
+        for ends in ([0.0, np.inf], [-np.inf, 0.0]):
+            with pytest.raises(DomainError, match="finite and strictly increasing"):
+                Grid(np.array(ends), np.ones(2))  # infinite end point
+        with pytest.raises(DomainError, match="finite and strictly increasing"):
+            Grid(np.array([0.0, 0.7, 0.5, 1.0]), np.ones(4))  # decreasing
+        with pytest.raises(DomainError, match="finite and non-negative"):
+            Grid(np.array([0.0, 0.5, 1.0]), np.array([1.0, np.nan, 1.0]))  # NaN value
+        with pytest.raises(DomainError, match="one-dimensional"):
+            Grid(np.zeros((2, 2)), np.ones((2, 2)))
+        with pytest.raises(DomainError, match="equal length"):
+            Grid(np.array([0.0, 0.5, 1.0]), np.ones(2))
 
     def test_values_are_immutable(self):
         g = Grid(np.linspace(0, 1, 5), np.ones(5))
         with pytest.raises(ValueError):
             g.values[0] = 2.0
+
+    def test_cdf_is_one_read_only_array(self):
+        g = grid_normalize(Grid(np.linspace(0, 1, 11), np.linspace(1, 2, 11)))
+        cdf = grid_cdf(g)
+        assert grid_cdf(g) is cdf
+        assert cdf[0] == 0.0 and cdf[-1] == 1.0
+        with pytest.raises(ValueError):
+            cdf[0] = 0.5
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=1e-6, max_value=10.0),
+                st.floats(min_value=0.0, max_value=1e3),
+            ),
+            min_size=2,
+            max_size=60,
+        )
+    )
+    @settings(max_examples=200)
+    def test_integral_is_numpy_trapezoid_bit_for_bit(self, steps_and_values):
+        steps, values = (np.array(col) for col in zip(*steps_and_values))
+        points = np.cumsum(steps)
+        assert grid_integral(Grid(points, values)) == float(np.trapezoid(values, points))
 
     def test_normalize_constant_density(self):
         g = grid_normalize(Grid(np.linspace(0, 1, 101), np.full(101, 7.0)))

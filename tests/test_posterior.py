@@ -431,12 +431,16 @@ class TestMarginalizeOverDiagnostics:
             ({"grid_size": 501}, "grid_size must be at least"),
             ({"grid_size": 10**12}, "grid_size must be at most"),
             ({"pi": 1.5}, "prevalence must lie"),
+            ({"lattice_size": 0}, "lattice_size must be at least 1, got 0"),
+            ({"lattice_size": -1}, "lattice_size must be a non-negative integer"),
+            ({"lattice_size": 2.5}, "lattice_size must be a non-negative integer"),
         ],
     )
     def test_invalid_input_is_not_reported_as_infeasible_lattice(self, kwargs, message):
+        kwargs = {"lattice_size": 3, **kwargs}
         with pytest.raises(DomainError, match=message) as raised:
             marginalize_over_diagnostics(
-                AZ, se_range=(0.9, 1.0), sp_range=(0.99, 1.0), lattice_size=3, **kwargs
+                AZ, se_range=(0.9, 1.0), sp_range=(0.99, 1.0), **kwargs
             )
         assert not isinstance(raised.value, FalsePositiveParadoxError)
 

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo trial simulator and coverage harness."""
 
 import functools
+import importlib
 import json
 import operator
 
@@ -11,12 +12,18 @@ import scipy.stats
 from trialeff import (
     DiagnosticProfile,
     DomainError,
+    EstimationError,
+    IntervalEstimate,
     SimulationConfig,
     coverage_study,
     map_estimate,
     replicates_to_csv,
     simulate_trial,
 )
+from trialeff.posterior import _interval
+
+POSTERIOR_MODULE = importlib.import_module("trialeff.posterior")
+ALL_METHODS = ("conditional", "wald", "cramer-rao", "fisher-rr")
 
 
 def _reject_constant(name):
@@ -212,6 +219,53 @@ class TestCoverageStudy:
         wald_failures = report.methods["wald"].failures
         empty = sum(1 for line in lines[1:] if line.endswith(",,,"))
         assert empty == wald_failures
+
+    def test_repeated_draws_match_a_per_replicate_reference_loop(self):
+        # About 12 expected control-arm cases: most replicates repeat an
+        # earlier (t_v, t_c), whose outcome the study reuses.
+        config = make_config(
+            n_per_arm=25_000, prevalence=0.0005, ve=0.9, replicates=300, seed=9,
+            methods=ALL_METHODS,
+        )
+        expected = []
+        for index in range(config.replicates):
+            counts = simulate_trial(config, np.random.default_rng((config.seed, index)))
+            for method in config.methods:
+                try:
+                    est = _interval(method, counts, config.level, grid_size=config.grid_size)
+                except EstimationError:
+                    lower = upper = covered = None
+                else:
+                    if isinstance(est, IntervalEstimate):
+                        lower, upper = est.efficacy_lower, est.efficacy_upper
+                    else:
+                        lower, upper = est.lower, est.upper
+                    covered = lower <= config.ve <= upper
+                expected.append((index, counts.t_v, counts.t_c, method, lower, upper, covered))
+        report = coverage_study(config, keep_replicates=True)
+        assert len({(t_v, t_c) for _, t_v, t_c, *_ in expected}) < config.replicates // 2
+        got = [
+            (r.replicate, r.t_v, r.t_c, r.method, r.lower, r.upper, r.covered)
+            for r in report.records
+        ]
+        assert got == expected
+
+    def test_each_distinct_draw_builds_one_posterior(self, monkeypatch):
+        calls = []
+        build = POSTERIOR_MODULE.posterior
+
+        def counting(counts, *args, **kwargs):
+            calls.append((counts.t_v, counts.t_c))
+            return build(counts, *args, **kwargs)
+
+        monkeypatch.setattr(POSTERIOR_MODULE, "posterior", counting)
+        config = make_config(
+            n_per_arm=25_000, prevalence=0.0005, ve=0.9, replicates=300, seed=9,
+            methods=("conditional",),
+        )
+        report = coverage_study(config, keep_replicates=True)
+        distinct = {(rec.t_v, rec.t_c) for rec in report.records}
+        assert len(calls) == len(set(calls)) == len(distinct) < config.replicates
 
     def test_dump_requires_keep_replicates(self):
         report = coverage_study(make_config(replicates=5))
