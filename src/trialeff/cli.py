@@ -14,7 +14,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 from .diagnostics import npv, ppv, prevalence_threshold
@@ -34,6 +34,7 @@ from .sample_size import (
     DEFAULT_DELTA_GRID,
     DEFAULT_PI_GRID,
     DEFAULT_VE_GRID,
+    SampleSizeRow,
     SampleSizeSpec,
     sample_size_table,
 )
@@ -155,8 +156,7 @@ def main(argv=None) -> int:
     except DegenerateDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    # ValueError: float() of a malformed sample-size --ve, --delta or --pi.
-    except (EstimationError, ValueError) as exc:
+    except EstimationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -176,7 +176,15 @@ def _emit(text: str, output: Path | None) -> None:
         output.write_text(text, encoding="utf-8")
 
 
-def _emit_json(doc: dict, output: Path | None) -> None:
+def _emit_document(command: str, method: str, inputs: dict, results, output: Path | None) -> None:
+    """Write the JSON envelope every point result shares."""
+    doc = {
+        "command": command,
+        "method": method,
+        "inputs": inputs,
+        "results": results,
+        "warnings": [],
+    }
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", output)
 
 
@@ -257,7 +265,6 @@ def _estimate_one(
 def _cmd_estimate(args) -> int:
     counts = _resolve_counts(args)
     d = DiagnosticProfile(sensitivity=args.se, specificity=args.sp)
-    prevalence = args.pi if args.pi is not None else counts.overall_rate
     # A bad level or prevalence is the input's fault, not one method's: it
     # must not become an error block under every method of --method all.
     _check_level(args.level)
@@ -273,25 +280,15 @@ def _cmd_estimate(args) -> int:
             if args.method != "all" or isinstance(exc, DegenerateDataError):
                 raise
             results.append({"method": method, "error": str(exc)})
-    doc = {
-        "command": "estimate",
-        "method": args.method,
-        "inputs": {
-            "n_v": counts.n_v,
-            "t_v": counts.t_v,
-            "n_c": counts.n_c,
-            "t_c": counts.t_c,
-            "sensitivity": args.se,
-            "specificity": args.sp,
-            "prevalence": prevalence,
-            "level": args.level,
-            "grid_size": args.grid,
-            "interval": args.interval,
-        },
-        "results": results,
-        "warnings": [],
+    inputs = {
+        **asdict(counts),
+        **asdict(d),
+        "prevalence": args.pi if args.pi is not None else counts.overall_rate,
+        "level": args.level,
+        "grid_size": args.grid,
+        "interval": args.interval,
     }
-    _emit_json(doc, args.output)
+    _emit_document("estimate", args.method, inputs, results, args.output)
     return 0
 
 
@@ -300,57 +297,37 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_sample_size(args) -> int:
+    flags = (("--ve", args.ve), ("--delta", args.delta), ("--pi", args.pi))
+    rounded_z = not args.exact_z
     if args.table:
-        ve = _parse_float_list(args.ve, "--ve") if args.ve else list(DEFAULT_VE_GRID)
-        delta = _parse_float_list(args.delta, "--delta") if args.delta else list(DEFAULT_DELTA_GRID)
-        pi = _parse_float_list(args.pi, "--pi") if args.pi else list(DEFAULT_PI_GRID)
+        grids = (DEFAULT_VE_GRID, DEFAULT_DELTA_GRID, DEFAULT_PI_GRID)
+        lists = [
+            _parse_float_list(text, flag) if text else list(grid)
+            for (flag, text), grid in zip(flags, grids)
+        ]
         rows = sample_size_table(
-            ve, delta, pi,
+            *lists,
             alpha=args.alpha,
             beta=args.beta,
             method=args.method,
-            rounded_z=not args.exact_z,
+            rounded_z=rounded_z,
         )
-        # Every cell is defined on valid lists (2 - VE - pi > 0 holds inside
-        # each value's own range), so an undefined cell means a bad value.
-        for row in rows:
-            if row.error is not None:
-                raise DomainError(
-                    f"ve={row.ve}, delta={row.delta}, pi={row.pi}: {row.error}"
-                )
-        header = ("ve", "delta", "pi", "alpha", "beta", "method", "n")
-        csv_rows = [
-            (row.ve, row.delta, row.pi, row.alpha, row.beta, row.method, row.n)
-            for row in rows
-        ]
-        _emit(_csv_text([header, *csv_rows]), args.output)
+        header = [field.name for field in fields(SampleSizeRow)]
+        _emit(_csv_text([header, *map(astuple, rows)]), args.output)
         return 0
 
-    if args.ve is None or args.delta is None or args.pi is None:
+    if any(text is None for _, text in flags):
         raise DomainError("provide --ve, --delta and --pi (or use --table)")
-    spec = SampleSizeSpec(
-        ve=float(args.ve),
-        delta=float(args.delta),
-        pi=float(args.pi),
-        alpha=args.alpha,
-        beta=args.beta,
-    )
-    total = _SIZE_METHODS[args.method](spec, rounded_z=not args.exact_z)
-    doc = {
-        "command": "sample-size",
-        "method": args.method,
-        "inputs": {
-            "ve": spec.ve,
-            "delta": spec.delta,
-            "pi": spec.pi,
-            "alpha": spec.alpha,
-            "beta": spec.beta,
-            "rounded_z": not args.exact_z,
-        },
-        "results": {"total_sample_size": total},
-        "warnings": [],
-    }
-    _emit_json(doc, args.output)
+    values = []
+    for flag, text in flags:
+        parsed = _parse_float_list(text, flag)
+        if len(parsed) != 1:
+            raise DomainError(f"{flag} takes one number without --table, got {text!r}")
+        values.append(parsed[0])
+    spec = SampleSizeSpec(*values, alpha=args.alpha, beta=args.beta)
+    total = _SIZE_METHODS[args.method](spec, rounded_z=rounded_z)
+    inputs = {**asdict(spec), "rounded_z": rounded_z}
+    _emit_document("sample-size", args.method, inputs, {"total_sample_size": total}, args.output)
     return 0
 
 
@@ -445,11 +422,11 @@ def _figure4(args) -> str:
     pis = _pi_list(args, DEFAULT_PI_GRID)
     ve_values = [args.ve] if args.ve is not None else list(DEFAULT_VE_GRID)
     rows = [("method", "ve", "delta", "pi", "n")]
-    for method, calculator in _SIZE_METHODS.items():
-        for ve in ve_values:
-            for pi in pis:
-                spec = SampleSizeSpec(ve=ve, delta=args.delta, pi=pi)
-                rows.append((method, ve, args.delta, pi, calculator(spec)))
+    for method in _SIZE_METHODS:
+        rows.extend(
+            (row.method, row.ve, row.delta, row.pi, row.n)
+            for row in sample_size_table(ve_values, [args.delta], pis, method=method)
+        )
     return _csv_text(rows)
 
 
@@ -492,17 +469,9 @@ def _cmd_coverage(args) -> int:
     report = coverage_study(config, keep_replicates=args.dump is not None)
     if args.dump is not None:
         args.dump.write_text(replicates_to_csv(report), encoding="utf-8")
-    doc = {
-        "command": "coverage",
-        "method": "monte-carlo",
-        "inputs": report.config.as_dict(),
-        "results": {
-            "replicates": report.replicates,
-            "methods": {name: res.as_dict() for name, res in report.methods.items()},
-        },
-        "warnings": [],
-    }
-    _emit_json(doc, args.output)
+    results = report.as_dict()
+    inputs = results.pop("config")
+    _emit_document("coverage", "monte-carlo", inputs, results, args.output)
     return 0
 
 
@@ -519,16 +488,11 @@ def _cmd_diagnostics(args) -> int:
         return 0
     if args.pi is None:
         raise DomainError("provide --pi for a point evaluation or --curve for a sweep")
-    doc = {
-        "command": "diagnostics",
-        "method": "predictive-values",
-        "inputs": {"sensitivity": args.se, "specificity": args.sp, "pi": args.pi},
-        "results": {
-            "ppv": ppv(args.pi, profile),
-            "npv": npv(args.pi, profile),
-            "prevalence_threshold": prevalence_threshold(profile),
-        },
-        "warnings": [],
+    results = {
+        "ppv": ppv(args.pi, profile),
+        "npv": npv(args.pi, profile),
+        "prevalence_threshold": prevalence_threshold(profile),
     }
-    _emit_json(doc, args.output)
+    inputs = {**asdict(profile), "pi": args.pi}
+    _emit_document("diagnostics", "predictive-values", inputs, results, args.output)
     return 0

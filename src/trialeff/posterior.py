@@ -122,7 +122,8 @@ def _resolve(
     The own-cohort reading keeps N = n and takes the prevalence t/n unless
     ``pi`` is given; the rescaled reading keeps the case totals and sets
     N = t/T.  Guards: prevalence domain, then no control-arm cases, then
-    an observed rate no larger than the false positive rate.
+    an observed rate no larger than the false positive rate, then a
+    rescaled N too large for a float.
     """
     if rescaled:
         _check_prevalence(pi)
@@ -138,6 +139,11 @@ def _resolve(
             f"rate {d.false_positive_rate:.2g}"
         )
     total_n = counts.t / rate if rescaled else counts.n
+    if not math.isfinite(total_n):
+        raise DomainError(
+            f"prevalence {prevalence:.3g} is too small to rescale: "
+            f"the cohort t/T = {counts.t}/{rate:.3g} overflows"
+        )
     return _Model(total_n, counts.t_c, rate, prevalence)
 
 

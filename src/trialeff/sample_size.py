@@ -120,8 +120,7 @@ class SampleSizeRow:
     alpha: float
     beta: float
     method: str
-    n: int | None
-    error: str | None = None
+    n: int
 
 
 def sample_size_table(
@@ -135,8 +134,9 @@ def sample_size_table(
 ) -> list[SampleSizeRow]:
     """Full (VE, delta, pi) grid of total sample sizes.
 
-    Cells whose inputs violate the chosen formula's domain are recorded
-    in place with the error message instead of aborting the table.
+    Every cell is defined on valid lists (2 - VE - pi > 0 holds inside
+    each value's own range), so the first cell outside the chosen
+    formula's domain raises a ``DomainError`` naming that cell.
     """
     if method not in _METHODS:
         raise DomainError(f"method must be one of {sorted(_METHODS)}, got {method!r}")
@@ -148,11 +148,7 @@ def sample_size_table(
                 try:
                     spec = SampleSizeSpec(ve=ve, delta=delta, pi=pi, alpha=alpha, beta=beta)
                     n = calculator(spec, rounded_z=rounded_z)
-                    rows.append(
-                        SampleSizeRow(ve, delta, pi, alpha, beta, method, n)
-                    )
                 except DomainError as exc:
-                    rows.append(
-                        SampleSizeRow(ve, delta, pi, alpha, beta, method, None, str(exc))
-                    )
+                    raise DomainError(f"ve={ve}, delta={delta}, pi={pi}: {exc}") from exc
+                rows.append(SampleSizeRow(ve, delta, pi, alpha, beta, method, n))
     return rows

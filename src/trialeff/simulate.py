@@ -61,6 +61,8 @@ class SimulationConfig:
             raise DomainError(f"replicates must be at least 1, got {self.replicates}")
         _check_level(self.level)
         _check_grid_size(self.grid_size)
+        if not self.methods:
+            raise DomainError("a coverage study needs at least one interval method")
         unknown = set(self.methods) - set(_METHODS)
         if unknown:
             raise DomainError(f"unknown interval methods: {sorted(unknown)}")
@@ -72,18 +74,9 @@ class SimulationConfig:
         return (1.0 - self.ve) * self.prevalence
 
     def as_dict(self) -> dict:
-        return {
-            "n_per_arm": self.n_per_arm,
-            "prevalence": self.prevalence,
-            "ve": self.ve,
-            "sensitivity": self.diagnostic.sensitivity,
-            "specificity": self.diagnostic.specificity,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "methods": list(self.methods),
-            "level": self.level,
-            "grid_size": self.grid_size,
-        }
+        echo = asdict(self)
+        echo.update(echo.pop("diagnostic"))
+        return echo
 
 
 @dataclass(frozen=True)

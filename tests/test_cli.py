@@ -145,6 +145,23 @@ class TestEstimate:
         assert (code, out) == (2, "")
         assert "prevalence must lie in (0, 1]" in err
 
+    @pytest.mark.parametrize("method", ["conditional", "cramer-rao"])
+    def test_prevalence_too_small_to_rescale_exits_2(self, method, capsys):
+        code, out, err = run_cli(
+            ["estimate", "--trial", "pfizer", "--pi", "1e-307", "--method", method], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "too small to rescale" in err
+
+    def test_prevalence_too_small_to_rescale_under_method_all(self, capsys):
+        code, out, _ = run_cli(["estimate", "--trial", "pfizer", "--pi", "1e-307"], capsys)
+        assert code == 0
+        blocks = {b["method"]: b for b in json.loads(out)["results"]}
+        for method in ("conditional", "cramer-rao"):
+            assert "too small to rescale" in blocks[method]["error"]
+        assert "error" not in blocks["wald"]
+        assert "error" not in blocks["fisher-rr"]
+
     def test_conflicting_count_sources_rejected(self, capsys):
         code, _, err = run_cli(
             ["estimate", "--trial", "az", "--tv", "1", "--nv", "10", "--tc", "2",
@@ -187,6 +204,14 @@ class TestSampleSize:
             ["sample-size", "--ve", "0.5", "--delta", "0", "--pi", "0.1"], capsys
         )
         assert code == 2
+
+    @pytest.mark.parametrize("ve", ["abc", "0.5,0.6"])
+    def test_single_value_flag_takes_one_number(self, ve, capsys):
+        code, out, err = run_cli(
+            ["sample-size", "--ve", ve, "--delta", "0.1", "--pi", "0.1"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "--ve" in err
 
     def test_default_table_has_112_rows(self, capsys):
         code, out, _ = run_cli(["sample-size", "--table"], capsys)
@@ -287,6 +312,11 @@ class TestCurve:
         ]
         assert len(hit) == 1
         assert hit[0]["n"] == "8344237"
+
+    def test_figure_4_undefined_cell_exits_2(self, capsys):
+        code, out, err = run_cli(["curve", "--figure", "4", "--delta", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert "ve=0.0, delta=0.0, pi=0.5: effect size must lie in (0, 1]" in err
 
     def test_invalid_figure_exits_2(self, capsys):
         code, _, err = run_cli(["curve", "--figure", "9"], capsys)
@@ -447,6 +477,15 @@ class TestCoverage:
         )
         assert code == 2
 
+    def test_no_method_exits_2(self, capsys):
+        code, out, err = run_cli(
+            ["coverage", "--n-per-arm", "400", "--pi-c", "0.05", "--ve", "0.6",
+             "--methods", ","],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert "at least one interval method" in err
+
     @pytest.mark.parametrize("grid", ["501", "1000000000000"])
     def test_out_of_range_grid_exits_2(self, grid, capsys):
         code, out, err = run_cli(
@@ -527,6 +566,17 @@ class TestDiagnostics:
     def test_missing_mode_exits_2(self, capsys):
         code, _, err = run_cli(["diagnostics", "--se", "0.9", "--sp", "0.9"], capsys)
         assert code == 2
+
+
+def test_internal_value_error_is_not_an_input_error(monkeypatch):
+    # Only the package's typed errors map to exit codes; any other
+    # exception is a fault in the program and must surface as one.
+    def broken(args):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "_cmd_diagnostics", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["diagnostics", "--se", "0.9", "--sp", "0.9", "--pi", "0.1"])
 
 
 class TestOutputFile:

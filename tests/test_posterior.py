@@ -186,6 +186,13 @@ class TestPosteriorAtPrevalence:
         with pytest.raises(DomainError):
             posterior_at_prevalence(AZ, 1.2)
 
+    @pytest.mark.parametrize("analysis", [posterior_at_prevalence, cramer_rao_at_prevalence])
+    def test_prevalence_too_small_to_rescale(self, analysis):
+        # N = t/T overflows to inf: the grid kernel would turn NaN and the
+        # information bound would give a zero-width interval.
+        with pytest.raises(DomainError, match="too small to rescale"):
+            analysis(PFIZER, 1e-307)
+
 
 class TestMapEstimate:
     def test_no_effect_when_case_counts_match(self):

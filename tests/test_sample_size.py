@@ -116,11 +116,11 @@ class TestSampleSizeTable:
         assert len(rows) == 112
         assert all(row.n is not None for row in rows)
 
-    def test_bad_cells_recorded_not_raised(self):
-        rows = sample_size_table([0.5], [0.1], [0.05, 1.5])
-        assert rows[0].n is not None
-        assert rows[1].n is None
-        assert rows[1].error is not None
+    def test_first_bad_cell_raised_with_its_inputs(self):
+        with pytest.raises(
+            DomainError, match=r"ve=0\.5, delta=0\.1, pi=1\.5: prevalence must lie in \(0, 1\]"
+        ):
+            sample_size_table([0.5], [0.1], [0.05, 1.5])
 
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError):

@@ -155,6 +155,8 @@ class TestCoverageStudy:
             make_config(prevalence=0.0)
         with pytest.raises(DomainError):
             make_config(methods=("conditional", "bayes-factor"))
+        with pytest.raises(DomainError, match="at least one interval method"):
+            make_config(methods=())
         # Caught per replicate, a bad grid would be tallied as method failures.
         with pytest.raises(DomainError, match="grid_size must be at least"):
             make_config(grid_size=2000)
