@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -45,7 +46,9 @@ _CURVE_PI_DEFAULT = (0.5, 0.1, 0.05, 0.01, 0.005, 0.001)
 _FIG3_PI_DEFAULT = (0.1, 0.05, 0.01, 0.005, 0.001)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="trialeff",
         description="Prevalence-aware efficacy estimation for two-arm trials.",
@@ -53,11 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     est = sub.add_parser("estimate", help="interval estimates from trial counts")
-    est.add_argument("--trial", choices=sorted(TRIAL_PRESETS), help="named preset counts")
-    est.add_argument("--tv", type=int, help="cases in vaccinated arm")
-    est.add_argument("--nv", type=int, help="participants in vaccinated arm")
-    est.add_argument("--tc", type=int, help="cases in control arm")
-    est.add_argument("--nc", type=int, help="participants in control arm")
     est.add_argument("--se", type=float, default=1.0, help="diagnostic sensitivity")
     est.add_argument("--sp", type=float, default=1.0, help="diagnostic specificity")
     est.add_argument(
@@ -69,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     est.add_argument(
         "--method",
-        choices=_METHODS + ("all",),
+        choices=(*_METHODS, "all"),
         default="all",
     )
     est.add_argument("--level", type=float, default=0.95)
@@ -78,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--interval", choices=("equal-tailed", "hpd"), default="equal-tailed",
         help="credible-interval rule for the conditional method",
     )
-    est.add_argument("--output", type=Path, default=None)
-    est.set_defaults(handler=_cmd_estimate)
 
     size = sub.add_parser("sample-size", help="trial-design sample sizes")
     size.add_argument("--ve", type=str, help="anticipated efficacy (comma list with --table)")
@@ -94,19 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
         "conventional two-decimal z-scores",
     )
     size.add_argument("--table", action="store_true", help="emit the full grid as CSV")
-    size.add_argument("--output", type=Path, default=None)
-    size.set_defaults(handler=_cmd_sample_size)
 
     curve = sub.add_parser("curve", help="CSV curve data for the standard figures")
     curve.add_argument(
         "--figure", type=int, default=None, choices=(1, 2, 3, 4),
         help="figure to reproduce; omit to dump one posterior from counts",
     )
-    curve.add_argument("--trial", choices=sorted(TRIAL_PRESETS), default=None)
-    curve.add_argument("--tv", type=int, help="cases in vaccinated arm (posterior dump)")
-    curve.add_argument("--nv", type=int, help="participants in vaccinated arm (posterior dump)")
-    curve.add_argument("--tc", type=int, help="cases in control arm (posterior dump)")
-    curve.add_argument("--nc", type=int, help="participants in control arm (posterior dump)")
     curve.add_argument("--pi", type=float, default=None, help="assumed prevalence (posterior dump)")
     curve.add_argument("--pi-list", type=str, default=None, help="comma-separated prevalences")
     curve.add_argument("--ve", type=float, default=None, help="true efficacy override")
@@ -116,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--sp", type=float, default=None, help="specificity override (figure 3)")
     curve.add_argument("--delta", type=float, default=0.1, help="effect size (figure 4)")
     curve.add_argument("--grid", type=int, default=MIN_GRID_SIZE)
-    curve.add_argument("--output", type=Path, default=None)
-    curve.set_defaults(handler=_cmd_curve)
 
     cov = sub.add_parser("coverage", help="Monte Carlo coverage study")
     cov.add_argument("--n-per-arm", type=int, required=True)
@@ -134,31 +121,38 @@ def build_parser() -> argparse.ArgumentParser:
         "--dump", type=Path, default=None,
         help="also write per-replicate outcomes to this CSV file",
     )
-    cov.add_argument("--output", type=Path, default=None)
-    cov.set_defaults(handler=_cmd_coverage)
 
     diag = sub.add_parser("diagnostics", help="predictive values and prevalence threshold")
     diag.add_argument("--se", type=float, required=True)
     diag.add_argument("--sp", type=float, required=True)
     diag.add_argument("--pi", type=float, default=None)
     diag.add_argument("--curve", action="store_true", help="emit a prevalence sweep as CSV")
-    diag.add_argument("--output", type=Path, default=None)
-    diag.set_defaults(handler=_cmd_diagnostics)
 
+    for command in (est, curve):
+        command.add_argument("--trial", choices=sorted(TRIAL_PRESETS), help="named preset counts")
+        command.add_argument("--tv", type=int, help="cases in vaccinated arm")
+        command.add_argument("--nv", type=int, help="participants in vaccinated arm")
+        command.add_argument("--tc", type=int, help="cases in control arm")
+        command.add_argument("--nc", type=int, help="participants in control arm")
+    for command in sub.choices.values():
+        command.add_argument("--output", type=Path, default=None)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Looked up at call time, so a rebound handler (a test double) is the one called.
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.handler(args)
+        text = handler(args)
     except DegenerateDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except EstimationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _emit(text, args.output)
+    return 0
 
 
 def entrypoint() -> None:
@@ -176,8 +170,8 @@ def _emit(text: str, output: Path | None) -> None:
         output.write_text(text, encoding="utf-8")
 
 
-def _emit_document(command: str, method: str, inputs: dict, results, output: Path | None) -> None:
-    """Write the JSON envelope every point result shares."""
+def _document(command: str, method: str, inputs: dict, results) -> str:
+    """The JSON envelope every point result shares."""
     doc = {
         "command": command,
         "method": method,
@@ -185,7 +179,7 @@ def _emit_document(command: str, method: str, inputs: dict, results, output: Pat
         "results": results,
         "warnings": [],
     }
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", output)
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _csv_text(rows) -> str:
@@ -262,7 +256,7 @@ def _estimate_one(
     return block
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> str:
     counts = _resolve_counts(args)
     d = DiagnosticProfile(sensitivity=args.se, specificity=args.sp)
     # A bad level or prevalence is the input's fault, not one method's: it
@@ -279,7 +273,7 @@ def _cmd_estimate(args) -> int:
             # A single undefined method should not sink the other blocks.
             if args.method != "all" or isinstance(exc, DegenerateDataError):
                 raise
-            results.append({"method": method, "error": str(exc)})
+            results.append({"method": _METHODS[method], "error": str(exc)})
     inputs = {
         **asdict(counts),
         **asdict(d),
@@ -288,15 +282,14 @@ def _cmd_estimate(args) -> int:
         "grid_size": args.grid,
         "interval": args.interval,
     }
-    _emit_document("estimate", args.method, inputs, results, args.output)
-    return 0
+    return _document("estimate", args.method, inputs, results)
 
 
 # ---------------------------------------------------------------------------
 # sample-size
 
 
-def _cmd_sample_size(args) -> int:
+def _cmd_sample_size(args) -> str:
     flags = (("--ve", args.ve), ("--delta", args.delta), ("--pi", args.pi))
     rounded_z = not args.exact_z
     if args.table:
@@ -313,8 +306,7 @@ def _cmd_sample_size(args) -> int:
             rounded_z=rounded_z,
         )
         header = [field.name for field in fields(SampleSizeRow)]
-        _emit(_csv_text([header, *map(astuple, rows)]), args.output)
-        return 0
+        return _csv_text([header, *map(astuple, rows)])
 
     if any(text is None for _, text in flags):
         raise DomainError("provide --ve, --delta and --pi (or use --table)")
@@ -327,8 +319,7 @@ def _cmd_sample_size(args) -> int:
     spec = SampleSizeSpec(*values, alpha=args.alpha, beta=args.beta)
     total = _SIZE_METHODS[args.method](spec, rounded_z=rounded_z)
     inputs = {**asdict(spec), "rounded_z": rounded_z}
-    _emit_document("sample-size", args.method, inputs, {"total_sample_size": total}, args.output)
-    return 0
+    return _document("sample-size", args.method, inputs, {"total_sample_size": total})
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +331,7 @@ def _pi_list(args, default: tuple[float, ...]) -> list[float]:
         return list(default)
     pis = _parse_float_list(args.pi_list, "--pi-list")
     for pi in pis:
-        if not 0.0 < pi <= 1.0:
-            raise DomainError(f"--pi-list values must lie in (0, 1], got {pi}")
+        _check_prevalence(pi)
     return pis
 
 
@@ -440,21 +430,20 @@ def _dump_posterior(args) -> str:
     return _density_csv(("alpha", "density"), [((), post)])
 
 
-def _cmd_curve(args) -> int:
+def _cmd_curve(args) -> str:
     # Checked before any panel is built: outside [0, 1] the case split
     # divides by zero at 2 and yields curves of no trial elsewhere.
     if args.ve is not None and not 0.0 <= args.ve <= 1.0:
         raise DomainError(f"--ve must lie in [0, 1], got {args.ve}")
     builders = {None: _dump_posterior, 1: _figure1, 2: _figure2, 3: _figure3, 4: _figure4}
-    _emit(builders[args.figure](args), args.output)
-    return 0
+    return builders[args.figure](args)
 
 
 # ---------------------------------------------------------------------------
 # coverage
 
 
-def _cmd_coverage(args) -> int:
+def _cmd_coverage(args) -> str:
     config = SimulationConfig(
         n_per_arm=args.n_per_arm,
         prevalence=args.pi_c,
@@ -471,21 +460,19 @@ def _cmd_coverage(args) -> int:
         args.dump.write_text(replicates_to_csv(report), encoding="utf-8")
     results = report.as_dict()
     inputs = results.pop("config")
-    _emit_document("coverage", "monte-carlo", inputs, results, args.output)
-    return 0
+    return _document("coverage", "monte-carlo", inputs, results)
 
 
 # ---------------------------------------------------------------------------
 # diagnostics
 
 
-def _cmd_diagnostics(args) -> int:
+def _cmd_diagnostics(args) -> str:
     profile = DiagnosticProfile(sensitivity=args.se, specificity=args.sp)
     if args.curve:
         sweep = [i / 1000 for i in range(1, 1000)]
         rows = [(pi, ppv(pi, profile), npv(pi, profile)) for pi in sweep]
-        _emit(_csv_text([("pi", "ppv", "npv"), *rows]), args.output)
-        return 0
+        return _csv_text([("pi", "ppv", "npv"), *rows])
     if args.pi is None:
         raise DomainError("provide --pi for a point evaluation or --curve for a sweep")
     results = {
@@ -494,5 +481,4 @@ def _cmd_diagnostics(args) -> int:
         "prevalence_threshold": prevalence_threshold(profile),
     }
     inputs = {**asdict(profile), "pi": args.pi}
-    _emit_document("diagnostics", "predictive-values", inputs, results, args.output)
-    return 0
+    return _document("diagnostics", "predictive-values", inputs, results)

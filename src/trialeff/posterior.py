@@ -417,8 +417,9 @@ def credible_interval(
     )
 
 
-# Interval methods by name, in the order the CLI reports them.
-_METHODS = ("conditional", "wald", "cramer-rao", "fisher-rr")
+# Interval methods in the CLI's order: CLI name -> the name its estimate reports.
+_METHODS = {"conditional": "conditional-binomial", "wald": "wald",
+            "cramer-rao": "cramer-rao", "fisher-rr": "fisher-rr"}
 
 
 def _interval(

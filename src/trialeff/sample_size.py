@@ -62,6 +62,17 @@ def _nearest_int(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _raw_size(formula) -> float:
+    """``formula()``; a DomainError when a divisor underflows or the size overflows."""
+    try:
+        raw = formula()
+    except (OverflowError, ZeroDivisionError):
+        raw = math.inf
+    if not math.isfinite(raw):
+        raise DomainError("the sample size is not a finite float")
+    return raw
+
+
 def generic_two_sample(
     sigma: float,
     delta: float,
@@ -72,9 +83,7 @@ def generic_two_sample(
     """Per-group size 2*sigma^2/delta^2 * (z_{1-a/2} + z_{1-b})^2, rounded up."""
     if sigma <= 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
-    if delta == 0.0:
-        raise DomainError("zero difference requires an infinite sample")
-    raw = 2.0 * sigma**2 / delta**2 * _z_sum(alpha, beta, rounded_z) ** 2
+    raw = _raw_size(lambda: 2.0 * sigma**2 / delta**2 * _z_sum(alpha, beta, rounded_z) ** 2)
     return max(1, math.ceil(raw))
 
 
@@ -86,8 +95,8 @@ def wald_sample_size(spec: SampleSizeSpec, rounded_z: bool = True) -> int:
     """
     half_ratio = spec.delta / (2.0 * (1.0 - spec.ve))
     d = math.asinh(half_ratio)
-    bracket = (2.0 - spec.ve) ** 2 / (spec.pi * (1.0 - spec.ve)) - 2.0
-    raw = 2.0 * _z_sum(spec.alpha, spec.beta, rounded_z) ** 2 / d**2 * bracket
+    raw = _raw_size(lambda: 2.0 * _z_sum(spec.alpha, spec.beta, rounded_z) ** 2 / d**2
+                    * ((2.0 - spec.ve) ** 2 / (spec.pi * (1.0 - spec.ve)) - 2.0))
     return _nearest_int(raw)
 
 
@@ -96,8 +105,8 @@ def cramer_rao_sample_size(spec: SampleSizeSpec, rounded_z: bool = True) -> int:
 
     n = 4 (z_{1-a/2} + z_{1-b})^2 / (pi delta^2) * (2-VE)^2 (2-VE-pi).
     """
-    raw = (
-        4.0
+    raw = _raw_size(
+        lambda: 4.0
         * _z_sum(spec.alpha, spec.beta, rounded_z) ** 2
         / (spec.pi * spec.delta**2)
         * (2.0 - spec.ve) ** 2

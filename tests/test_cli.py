@@ -157,10 +157,13 @@ class TestEstimate:
         code, out, _ = run_cli(["estimate", "--trial", "pfizer", "--pi", "1e-307"], capsys)
         assert code == 0
         blocks = {b["method"]: b for b in json.loads(out)["results"]}
-        for method in ("conditional", "cramer-rao"):
+        for method in ("conditional-binomial", "cramer-rao"):
             assert "too small to rescale" in blocks[method]["error"]
         assert "error" not in blocks["wald"]
         assert "error" not in blocks["fisher-rr"]
+        # An error block names its method as a result block does.
+        _, passing, _ = run_cli(["estimate", "--trial", "pfizer"], capsys)
+        assert list(blocks) == [b["method"] for b in json.loads(passing)["results"]]
 
     def test_conflicting_count_sources_rejected(self, capsys):
         code, _, err = run_cli(
@@ -205,6 +208,20 @@ class TestSampleSize:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--ve", "0.5", "--delta", "1e-200", "--pi", "0.1", "--method", "cramer-rao"],
+            ["--ve", "0.5", "--delta", "1e-200", "--pi", "0.1", "--method", "wald"],
+            ["--ve", "0.5", "--delta", "1e-10", "--pi", "1e-300"],
+        ],
+        ids=["delta-underflow-cramer-rao", "delta-underflow-wald", "size-overflow"],
+    )
+    def test_size_outside_the_float_range_exits_2(self, flags, capsys):
+        code, out, err = run_cli(["sample-size", *flags], capsys)
+        assert (code, out) == (2, "")
+        assert "the sample size is not a finite float" in err
+
     @pytest.mark.parametrize("ve", ["abc", "0.5,0.6"])
     def test_single_value_flag_takes_one_number(self, ve, capsys):
         code, out, err = run_cli(
@@ -229,8 +246,9 @@ class TestSampleSize:
         [
             (["--pi", "nan"], "pi=nan: prevalence must lie in (0, 1], got nan"),
             (["--ve", "inf"], "ve=inf, delta=0.1, pi=0.5: anticipated efficacy must lie in [0, 1)"),
+            (["--delta", "1e-200"], "ve=0.0, delta=1e-200, pi=0.5: the sample size is not a finite"),
         ],
-        ids=["pi-nan", "ve-inf"],
+        ids=["pi-nan", "ve-inf", "delta-underflow"],
     )
     def test_table_with_an_undefined_cell_exits_2(self, flags, message, capsys):
         code, out, err = run_cli(["sample-size", "--table", *flags], capsys)

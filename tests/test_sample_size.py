@@ -32,6 +32,13 @@ class TestGenericTwoSample:
         with pytest.raises(DomainError):
             generic_two_sample(sigma=0.0, delta=1.0)
 
+    @pytest.mark.parametrize(
+        "sigma, delta", [(1.0, 1e-200), (1e200, 0.1)], ids=["delta-underflow", "sigma-overflow"]
+    )
+    def test_size_outside_the_float_range_rejected(self, sigma, delta):
+        with pytest.raises(DomainError, match="not a finite float"):
+            generic_two_sample(sigma=sigma, delta=delta)
+
 
 class TestWaldSampleSize:
     def test_frozen_reference_point(self):
@@ -63,6 +70,13 @@ class TestWaldSampleSize:
     def test_full_efficacy_rejected(self):
         with pytest.raises(DomainError):
             SampleSizeSpec(ve=1.0, delta=0.1, pi=0.05)
+
+    @pytest.mark.parametrize(
+        "delta, pi", [(1e-200, 0.1), (0.1, 5e-324)], ids=["delta-underflow", "pi-underflow"]
+    )
+    def test_size_outside_the_float_range_rejected(self, delta, pi):
+        with pytest.raises(DomainError, match="not a finite float"):
+            wald_sample_size(SampleSizeSpec(ve=0.6, delta=delta, pi=pi))
 
 
 class TestCramerRaoSampleSize:
@@ -97,6 +111,13 @@ class TestCramerRaoSampleSize:
             cr = cramer_rao_sample_size(spec)
             wald = wald_sample_size(spec)
             assert abs(cr - wald) / wald < 0.15
+
+    @pytest.mark.parametrize(
+        "delta, pi", [(1e-200, 0.1), (1e-10, 1e-300)], ids=["delta-underflow", "size-overflow"]
+    )
+    def test_size_outside_the_float_range_rejected(self, delta, pi):
+        with pytest.raises(DomainError, match="not a finite float"):
+            cramer_rao_sample_size(SampleSizeSpec(ve=0.5, delta=delta, pi=pi))
 
     def test_exceeds_wald_size_when_rare_and_effective(self):
         for ve in (0.6, 0.75, 0.9):
