@@ -208,50 +208,86 @@ def _acklam(p: float) -> float:
     ) / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``, adopted or copied.
+
+    ``a`` is adopted when it is read-only and owns its data, or is a view
+    of such an array; anything else is copied first.  Either way the view
+    returned cannot be made writeable again.
+    """
+    owner = a if a.base is None else a.base
+    if a.flags.writeable or not (
+        isinstance(owner, np.ndarray) and owner.flags.owndata and not owner.flags.writeable
+    ):
+        a = a.copy()
+        a.flags.writeable = False
+    return a.view()
+
+
+def _density_values(values, shape: tuple[int, ...]) -> np.ndarray:
+    """Finite, non-negative float values of the given shape, read-only."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise DomainError("grid points and values must be one-dimensional")
+    if values.shape != shape:
+        raise DomainError(
+            f"points and values must have equal length, got "
+            f"{shape[0]} and {values.shape[0]}"
+        )
+    # min and max propagate a NaN, which fails both comparisons.
+    if not (values.min() >= 0.0 and values.max() < math.inf):
+        raise DomainError("grid values must be finite and non-negative")
+    return _read_only(values)
+
+
 @dataclass(frozen=True)
 class Grid:
     """A non-negative density tabulated on strictly increasing abscissae.
 
-    The arrays are read-only copies, so the CDF that :func:`grid_cdf`
-    computes on first use stays valid and is kept on the grid.
+    The arrays are read-only: an input that is read-only and owns its
+    data (or is a view of such an array) is adopted, anything else is
+    copied.  The step widths between the points are computed once and
+    shared by every grid :meth:`with_values` makes on the same points;
+    the CDF that :func:`grid_cdf` computes on first use is kept too.
     """
 
     points: np.ndarray
     values: np.ndarray
+    _steps: np.ndarray = field(init=False, repr=False, compare=False)
     _cdf: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.float64)
-        if points.ndim != 1 or values.ndim != 1:
+        if points.ndim != 1:
             raise DomainError("grid points and values must be one-dimensional")
-        if points.shape != values.shape:
-            raise DomainError(
-                f"points and values must have equal length, got "
-                f"{points.shape[0]} and {values.shape[0]}"
-            )
         if points.shape[0] < 2:
             raise DomainError("a grid needs at least two points")
+        values = _density_values(self.values, points.shape)
+        steps = np.subtract(points[1:], points[:-1])
         # A NaN fails every comparison, so strictly increasing points with
         # finite ends are all finite.
-        if not (
-            math.isfinite(points[0])
-            and math.isfinite(points[-1])
-            and (points[1:] > points[:-1]).all()
-        ):
+        if not (math.isfinite(points[0]) and math.isfinite(points[-1]) and (steps > 0.0).all()):
             raise DomainError("grid points must be finite and strictly increasing")
-        # min and max propagate a NaN, which fails both comparisons.
-        if not (values.min() >= 0.0 and values.max() < math.inf):
-            raise DomainError("grid values must be finite and non-negative")
-        points = points.copy()
-        values = values.copy()
-        points.flags.writeable = False
-        values.flags.writeable = False
-        object.__setattr__(self, "points", points)
+        steps.flags.writeable = False
+        object.__setattr__(self, "points", _read_only(points))
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_steps", steps)
 
     def __len__(self) -> int:
         return self.points.shape[0]
+
+    def with_values(self, values) -> Grid:
+        """A grid of ``values`` on these points, sharing them and their steps.
+
+        Only the values are checked, and adopted or copied as by the
+        constructor.
+        """
+        grid = object.__new__(Grid)
+        object.__setattr__(grid, "points", self.points)
+        object.__setattr__(grid, "values", _density_values(values, self.points.shape))
+        object.__setattr__(grid, "_steps", self._steps)
+        object.__setattr__(grid, "_cdf", None)
+        return grid
 
 
 def grid_integral(g: Grid) -> float:
@@ -261,7 +297,7 @@ def grid_integral(g: Grid) -> float:
     with the products formed in place, so the result is bit-identical.
     """
     terms = np.add(g.values[1:], g.values[:-1])
-    terms *= np.subtract(g.points[1:], g.points[:-1])
+    terms *= g._steps
     terms /= 2.0
     return float(terms.sum())
 
@@ -273,7 +309,9 @@ def grid_normalize(g: Grid) -> Grid:
         raise DegenerateDensityError(
             "density integrates to zero; nothing to normalize"
         )
-    return Grid(g.points, g.values / total)
+    quotient = g.values / total
+    quotient.flags.writeable = False
+    return g.with_values(quotient)
 
 
 def grid_cdf(g: Grid) -> np.ndarray:
@@ -288,7 +326,7 @@ def grid_cdf(g: Grid) -> np.ndarray:
     cdf[0] = 0.0
     segments = np.add(g.values[1:], g.values[:-1], out=cdf[1:])
     segments *= 0.5
-    segments *= np.subtract(g.points[1:], g.points[:-1])
+    segments *= g._steps
     np.cumsum(segments, out=segments)
     total = cdf[-1]
     if total <= 0.0:

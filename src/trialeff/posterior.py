@@ -30,6 +30,7 @@ bound.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings as _warnings
 from dataclasses import dataclass
@@ -181,9 +182,20 @@ def _check_grid_size(grid_size: int) -> None:
         raise DomainError(f"grid_size must be at most {MAX_GRID_SIZE}, got {grid_size}")
 
 
-def _alpha_grid(grid_size: int) -> np.ndarray:
+def _uniform_prior(grid_size: int) -> Grid:
+    """The uniform prior on ``grid_size`` evenly spaced efficacies in [0, 1].
+
+    Built on first use and cached for a few sizes; its read-only points
+    and their step widths are shared by every posterior of that size.  The
+    size is checked first, so a rejected size is never cached.
+    """
     _check_grid_size(grid_size)
-    return np.linspace(0.0, 1.0, grid_size)
+    return _cached_uniform_prior(grid_size)
+
+
+@functools.lru_cache(maxsize=4)
+def _cached_uniform_prior(grid_size: int) -> Grid:
+    return Grid(np.linspace(0.0, 1.0, grid_size), np.ones(grid_size))
 
 
 def _log_kernel(alpha: np.ndarray, model: _Model) -> np.ndarray:
@@ -196,11 +208,15 @@ def _log_kernel(alpha: np.ndarray, model: _Model) -> np.ndarray:
     ``t_c * log(p) + (N - t_c) * log1p(-p)``, so every value is the one
     that expression gives.
     """
+    # The result is allocated before the scratch p, which is freed on
+    # return: in the lattice mixture this order lets each build reuse freed
+    # heap memory, where the reverse order has it trimmed and faulted back
+    # in every second build.
+    out = np.empty_like(alpha)
     p = np.subtract(2.0, alpha)
     np.divide(model.rate, p, out=p)
     k = int(np.searchsorted(p, 1.0))
     inside = p[:k]
-    out = np.empty_like(p)
     out[k:] = -np.inf
     head = np.log(inside, out=out[:k])
     head *= model.t_c
@@ -229,11 +245,13 @@ def _balance_warnings(counts: TrialCounts) -> tuple[str, ...]:
 def _build_grid(
     counts: TrialCounts, model: _Model, d: DiagnosticProfile, grid_size: int
 ) -> PosteriorGrid:
-    alpha = _alpha_grid(grid_size)
+    prior = _uniform_prior(grid_size)
     notes = _balance_warnings(counts)
-    density = _log_kernel(alpha, model)
+    density = _log_kernel(prior.points, model)
     density -= density.max()
-    grid = grid_normalize(Grid(alpha, np.exp(density, out=density)))
+    np.exp(density, out=density)
+    density.flags.writeable = False
+    grid = grid_normalize(prior.with_values(density))
     return PosteriorGrid(
         grid=grid,
         prevalence=model.prevalence,
@@ -476,7 +494,7 @@ def marginal_likelihood(
             "falling back to numerical integration",
             stacklevel=2,
         )
-        alpha = _alpha_grid(DEFAULT_GRID_SIZE)
+        alpha = _uniform_prior(DEFAULT_GRID_SIZE).points
         log_kernel = _log_kernel(alpha, model) + log_binomial_coefficient(n, t_c)
         return float(np.trapezoid(np.exp(log_kernel), alpha))
     a, b = t_c - 1.0, n - t_c + 1.0
@@ -518,7 +536,7 @@ def marginalize_over_diagnostics(
         raise DomainError(f"lattice_size must be at least 1, got {lattice_size}")
     se_values = _lattice(se_range, lattice_size, "sensitivity")
     sp_values = _lattice(sp_range, lattice_size, "specificity")
-    alpha = _alpha_grid(grid_size)
+    prior = _uniform_prior(grid_size)
     # Resolving under a perfect test raises the prevalence and count
     # errors here, before the loop could count them as infeasible points;
     # its paradox check fails only at prevalence 0, where every point does.
@@ -546,7 +564,9 @@ def marginalize_over_diagnostics(
         notes = notes + (
             f"excluded {skipped} of {skipped + kept} diagnostic lattice points",
         )
-    mixture = grid_normalize(Grid(alpha, accumulated / kept))
+    accumulated /= kept
+    accumulated.flags.writeable = False
+    mixture = grid_normalize(prior.with_values(accumulated))
     return PosteriorGrid(
         grid=mixture,
         prevalence=prevalence,

@@ -25,6 +25,14 @@ DEFAULT_DELTA_GRID = (0.1, 0.2, 0.3, 0.4)
 DEFAULT_PI_GRID = (0.5, 0.1, 0.05, 0.01, 0.005, 0.001, 0.0005)
 
 
+def _check_error_rates(alpha: float, beta: float) -> None:
+    """DomainError unless both error rates lie strictly inside (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    if not 0.0 < beta < 1.0:
+        raise DomainError(f"beta must lie in (0, 1), got {beta}")
+
+
 @dataclass(frozen=True)
 class SampleSizeSpec:
     """Design inputs: anticipated efficacy, detectable difference, rates."""
@@ -41,10 +49,7 @@ class SampleSizeSpec:
         if not 0.0 < self.delta <= 1.0:
             raise DomainError(f"effect size must lie in (0, 1], got {self.delta}")
         _check_prevalence(self.pi)
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not 0.0 < self.beta < 1.0:
-            raise DomainError(f"beta must lie in (0, 1), got {self.beta}")
+        _check_error_rates(self.alpha, self.beta)
         if 2.0 - self.ve - self.pi <= 0.0:
             raise DomainError("require 2 - VE - pi > 0")
 
@@ -81,8 +86,12 @@ def generic_two_sample(
     rounded_z: bool = True,
 ) -> int:
     """Per-group size 2*sigma^2/delta^2 * (z_{1-a/2} + z_{1-b})^2, rounded up."""
-    if sigma <= 0.0:
+    # Negated tests, so that a NaN fails them too.
+    if not sigma > 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
+    if not delta > 0.0:
+        raise DomainError(f"delta must be positive, got {delta}")
+    _check_error_rates(alpha, beta)
     raw = _raw_size(lambda: 2.0 * sigma**2 / delta**2 * _z_sum(alpha, beta, rounded_z) ** 2)
     return max(1, math.ceil(raw))
 

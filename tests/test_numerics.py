@@ -233,6 +233,53 @@ class TestGrid:
         with pytest.raises(ValueError):
             g.values[0] = 2.0
 
+    def test_adopts_a_read_only_array_that_owns_its_data(self):
+        points = np.linspace(0, 1, 5).copy()  # linspace returns a view
+        values = np.ones(5)
+        points.flags.writeable = False
+        values.flags.writeable = False
+        g = Grid(points, values)
+        assert np.shares_memory(g.points, points) and np.shares_memory(g.values, values)
+        owner = np.arange(10.0)
+        owner.flags.writeable = False
+        assert np.shares_memory(Grid(points, owner[::2]).values, owner)
+
+    def test_copies_an_array_that_can_still_be_written(self):
+        values = np.ones(5)
+        g = Grid(np.linspace(0, 1, 5), values)
+        values[0] = 7.0
+        assert g.values[0] == 1.0 and not np.shares_memory(g.values, values)
+        # A read-only view of a writeable array is copied as well.
+        owner = np.ones(5)
+        view = owner[:]
+        view.flags.writeable = False
+        g = Grid(np.linspace(0, 1, 5), view)
+        owner[0] = 7.0
+        assert g.values[0] == 1.0 and not np.shares_memory(g.values, owner)
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["copied", "adopted"])
+    def test_arrays_cannot_be_made_writeable(self, frozen):
+        points, values = np.linspace(0, 1, 5), np.ones(5)
+        points.flags.writeable = values.flags.writeable = not frozen
+        g = Grid(points, values)
+        for array in (g.points, g.values):
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
+
+    def test_with_values_shares_the_points_and_checks_only_the_values(self):
+        g = Grid(np.linspace(0, 1, 5), np.ones(5))
+        cdf = grid_cdf(g)
+        h = g.with_values(np.arange(5.0))
+        assert h.points is g.points and h._steps is g._steps
+        assert grid_integral(h) == float(np.trapezoid(np.arange(5.0), g.points))
+        assert grid_cdf(h) is not cdf and grid_cdf(h)[1] != cdf[1]
+        with pytest.raises(DomainError, match="finite and non-negative"):
+            g.with_values(np.array([1.0, -1.0, 1.0, 1.0, 1.0]))
+        with pytest.raises(DomainError, match="equal length"):
+            g.with_values(np.ones(4))
+        with pytest.raises(DomainError, match="one-dimensional"):
+            g.with_values(np.ones((5, 1)))
+
     def test_cdf_is_one_read_only_array(self):
         g = grid_normalize(Grid(np.linspace(0, 1, 11), np.linspace(1, 2, 11)))
         cdf = grid_cdf(g)
@@ -255,7 +302,12 @@ class TestGrid:
     def test_integral_is_numpy_trapezoid_bit_for_bit(self, steps_and_values):
         steps, values = (np.array(col) for col in zip(*steps_and_values))
         points = np.cumsum(steps)
-        assert grid_integral(Grid(points, values)) == float(np.trapezoid(values, points))
+        g = Grid(points, values)
+        assert grid_integral(g) == float(np.trapezoid(values, points))
+        reversed_values = values[::-1]
+        assert grid_integral(g.with_values(reversed_values)) == float(
+            np.trapezoid(reversed_values, points)
+        )
 
     def test_normalize_constant_density(self):
         g = grid_normalize(Grid(np.linspace(0, 1, 101), np.full(101, 7.0)))

@@ -36,6 +36,8 @@ from trialeff import (
     posterior_at_prevalence,
     wald_efficacy_interval,
 )
+from trialeff.numerics import grid_cdf
+from trialeff.posterior import _cached_uniform_prior
 
 AZ = TRIAL_PRESETS["az"]
 PFIZER = TRIAL_PRESETS["pfizer"]
@@ -46,6 +48,26 @@ def kernel_log_density(alpha, n, t_c, rate):
     """Reference kernel used by the quadrature oracles in this module."""
     p = rate / (2.0 - alpha)
     return t_c * np.log(p) + (n - t_c) * np.log1p(-p)
+
+
+def reference_posterior(counts, pi, d, grid_size, rescaled):
+    """Abscissae, density and CDF built from scratch, as the grid pipeline must give them.
+
+    ``np.linspace``, then the kernel expression with zero density where the
+    success probability reaches one, then ``np.trapezoid`` normalization
+    and cumulative trapezoid sums.
+    """
+    alpha = np.linspace(0.0, 1.0, grid_size)
+    rate = observed_rate(counts.overall_rate if pi is None else pi, d)
+    n = counts.t / rate if rescaled else counts.n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_density = np.where(
+            rate / (2.0 - alpha) < 1.0, kernel_log_density(alpha, n, counts.t_c, rate), -np.inf
+        )
+    density = np.exp(log_density - log_density.max())
+    density = density / np.trapezoid(density, alpha)
+    cdf = np.concatenate(([0.0], np.cumsum((density[1:] + density[:-1]) * 0.5 * np.diff(alpha))))
+    return alpha, density, cdf / cdf[-1]
 
 
 class TestObservedRate:
@@ -349,8 +371,6 @@ class TestCredibleInterval:
         assert hpd.width <= et.width + 1e-9
 
     def test_hpd_holds_requested_mass(self):
-        from trialeff.numerics import grid_cdf
-
         post = posterior(AZ)
         hpd = credible_interval(post, 0.95, method="hpd")
         cdf = grid_cdf(post.grid)
@@ -456,6 +476,70 @@ class TestMarginalizeOverDiagnostics:
             marginalize_over_diagnostics(
                 AZ, se_range=(0.3, 0.4), sp_range=(0.3, 0.4), grid_size=4001
             )
+
+
+MISCLASSIFYING = DiagnosticProfile(sensitivity=0.95, specificity=0.999)
+READINGS = {
+    "own-cohort": (None, PERFECT_TEST, False),
+    "pi": (0.005, PERFECT_TEST, False),
+    "rescaled": (0.01, PERFECT_TEST, True),
+    "rescaled-pi-one": (1.0, PERFECT_TEST, True),
+    "misclassified": (None, MISCLASSIFYING, False),
+}
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("grid_size", [2001, 20001])
+    @pytest.mark.parametrize("reading", READINGS)
+    def test_posterior_is_the_reference_bit_for_bit(self, reading, grid_size):
+        pi, d, rescaled = READINGS[reading]
+        build = posterior_at_prevalence if rescaled else posterior
+        post = build(PFIZER, pi, d, grid_size)
+        alpha, density, cdf = reference_posterior(PFIZER, pi, d, grid_size, rescaled)
+        assert (post.efficacies == alpha).all()
+        assert (post.density == density).all()
+        assert (grid_cdf(post.grid) == cdf).all()
+
+    @pytest.mark.parametrize("grid_size", [2001, 20001])
+    def test_mixture_is_the_old_loop_bit_for_bit(self, grid_size):
+        se_range, sp_range, size = (0.3, 1.0), (0.6, 1.0), 5
+        mixed = marginalize_over_diagnostics(AZ, se_range, sp_range, None, grid_size, size)
+        accumulated = np.zeros(grid_size)
+        kept = 0
+        for se in np.linspace(*se_range, size):
+            for sp in np.linspace(*sp_range, size):
+                try:
+                    profile = DiagnosticProfile(sensitivity=se, specificity=sp)
+                    part = posterior(AZ, AZ.overall_rate, profile, grid_size)
+                except DomainError:
+                    continue
+                accumulated += part.density
+                kept += 1
+        assert 0 < kept < size * size  # the loop skipped some points
+        mixture = accumulated / kept
+        alpha = np.linspace(0.0, 1.0, grid_size)
+        assert (mixed.density == mixture / np.trapezoid(mixture, alpha)).all()
+
+
+class TestSharedAbscissae:
+    def test_posteriors_of_one_size_share_read_only_efficacies(self):
+        first = posterior(PFIZER, grid_size=2001)
+        second = posterior_at_prevalence(AZ, 0.01, MISCLASSIFYING, grid_size=2001)
+        mixed = marginalize_over_diagnostics(AZ, (0.9, 1.0), (0.99, 1.0), None, 2001, 2)
+        for post in (second, mixed):
+            assert np.shares_memory(post.efficacies, first.efficacies)
+        with pytest.raises(ValueError):
+            first.efficacies.flags.writeable = True
+        with pytest.raises(ValueError):
+            first.efficacies[0] = 0.5
+        assert not np.shares_memory(posterior(PFIZER, grid_size=4001).efficacies, first.efficacies)
+
+    @pytest.mark.parametrize("grid_size", [501, 10**12])
+    def test_rejected_size_adds_no_cache_entry(self, grid_size):
+        before = _cached_uniform_prior.cache_info()
+        with pytest.raises(DomainError, match="grid_size must be"):
+            posterior(PFIZER, grid_size=grid_size)
+        assert _cached_uniform_prior.cache_info() == before
 
 
 @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, math.nan])

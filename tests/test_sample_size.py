@@ -1,5 +1,7 @@
 """Tests for the sample-size calculators."""
 
+import math
+
 import pytest
 
 from trialeff import (
@@ -24,13 +26,15 @@ class TestGenericTwoSample:
     def test_huge_difference_floors_at_one(self):
         assert generic_two_sample(sigma=0.1, delta=50.0) == 1
 
-    def test_zero_difference_rejected(self):
-        with pytest.raises(DomainError):
-            generic_two_sample(sigma=1.0, delta=0.0)
+    @pytest.mark.parametrize("delta", [0.0, -0.5, math.nan])
+    def test_nonpositive_difference_rejected(self, delta):
+        with pytest.raises(DomainError, match=f"delta must be positive, got {delta}"):
+            generic_two_sample(sigma=1.0, delta=delta)
 
-    def test_nonpositive_sigma_rejected(self):
-        with pytest.raises(DomainError):
-            generic_two_sample(sigma=0.0, delta=1.0)
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+    def test_nonpositive_sigma_rejected(self, sigma):
+        with pytest.raises(DomainError, match=f"sigma must be positive, got {sigma}"):
+            generic_two_sample(sigma=sigma, delta=1.0)
 
     @pytest.mark.parametrize(
         "sigma, delta", [(1.0, 1e-200), (1e200, 0.1)], ids=["delta-underflow", "sigma-overflow"]
@@ -150,3 +154,14 @@ class TestSampleSizeTable:
     def test_wald_method_column(self):
         rows = sample_size_table([0.6], [0.1], [0.05], method="wald")
         assert rows[0].n == 96838
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0, 1.5, -0.1, math.nan])
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+def test_every_error_rate_check_is_the_same_check(name, value):
+    for build in (
+        lambda: generic_two_sample(1.0, 0.5, **{name: value}),
+        lambda: SampleSizeSpec(ve=0.5, delta=0.1, pi=0.05, **{name: value}),
+    ):
+        with pytest.raises(DomainError, match=rf"{name} must lie in \(0, 1\), got {value}"):
+            build()
