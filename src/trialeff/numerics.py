@@ -18,6 +18,9 @@ from .errors import ConvergenceError, DegenerateDensityError, DomainError
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# Iteration cap and convergence tolerance of the incomplete beta's continued fraction.
+_CF_MAX_ITER = 2000
+_CF_EPS = 1e-15
 
 
 def log_binomial_coefficient(n: int, k: int) -> float:
@@ -63,9 +66,15 @@ def _as_count(value, name: str) -> int:
 
 
 def _check_level(level: float) -> None:
-    """DomainError unless the interval level lies strictly inside (0, 1)."""
+    """DomainError unless the interval level lies strictly inside (0, 1).
+
+    The largest double below 1 is rejected too: its upper tail point
+    (1 + level)/2 rounds to 1, where the normal quantile is undefined.
+    """
     if not 0.0 < level < 1.0:
         raise DomainError(f"level must lie in (0, 1), got {level}")
+    if 0.5 * (1.0 + level) == 1.0:
+        raise DomainError(f"level must leave (1 + level)/2 below 1, got {level}")
 
 
 def _check_prevalence(pi: float) -> None:
@@ -101,9 +110,7 @@ def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
     return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
 
 
-def _beta_continued_fraction(
-    a: float, b: float, x: float, max_iter: int = 2000, eps: float = 1e-15
-) -> float:
+def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     tiny = 1e-300
     qab = a + b
     qap = a + 1.0
@@ -114,7 +121,7 @@ def _beta_continued_fraction(
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, max_iter + 1):
+    for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
         coeff = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + coeff * d
@@ -135,7 +142,7 @@ def _beta_continued_fraction(
         d = 1.0 / d
         step = d * c
         h *= step
-        if abs(step - 1.0) < eps:
+        if abs(step - 1.0) < _CF_EPS:
             return h
     raise ConvergenceError(
         f"incomplete beta continued fraction did not converge "
@@ -240,7 +247,7 @@ def _density_values(values, shape: tuple[int, ...]) -> np.ndarray:
     return _read_only(values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """A non-negative density tabulated on strictly increasing abscissae.
 
@@ -249,12 +256,13 @@ class Grid:
     copied.  The step widths between the points are computed once and
     shared by every grid :meth:`with_values` makes on the same points;
     the CDF that :func:`grid_cdf` computes on first use is kept too.
+    Grids compare and hash by identity.
     """
 
     points: np.ndarray
     values: np.ndarray
-    _steps: np.ndarray = field(init=False, repr=False, compare=False)
-    _cdf: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _steps: np.ndarray = field(init=False, repr=False)
+    _cdf: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=np.float64)

@@ -71,18 +71,14 @@ MIN_GRID_SIZE = 2_001
 MAX_GRID_SIZE = 1_000_001
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PosteriorGrid:
-    """Normalized posterior density of efficacy on [0, 1].
+    """Normalized posterior density of efficacy on [0, 1], and its warnings.
 
-    ``diagnostic`` is None when the grid is a mixture over a lattice of
-    diagnostic profiles rather than a single profile.
+    Compared and hashed by identity, like its :class:`Grid`.
     """
 
     grid: Grid
-    prevalence: float
-    diagnostic: DiagnosticProfile | None
-    counts: TrialCounts
     warnings: tuple[str, ...] = ()
 
     @property
@@ -242,23 +238,19 @@ def _balance_warnings(counts: TrialCounts) -> tuple[str, ...]:
     return ()
 
 
-def _build_grid(
-    counts: TrialCounts, model: _Model, d: DiagnosticProfile, grid_size: int
-) -> PosteriorGrid:
+def _finish(prior: Grid, density: np.ndarray, notes: tuple[str, ...]) -> PosteriorGrid:
+    """Freeze ``density``, normalize it on the prior's points and attach ``notes``."""
+    density.flags.writeable = False
+    return PosteriorGrid(grid_normalize(prior.with_values(density)), notes)
+
+
+def _build_grid(counts: TrialCounts, model: _Model, grid_size: int) -> PosteriorGrid:
     prior = _uniform_prior(grid_size)
     notes = _balance_warnings(counts)
     density = _log_kernel(prior.points, model)
     density -= density.max()
     np.exp(density, out=density)
-    density.flags.writeable = False
-    grid = grid_normalize(prior.with_values(density))
-    return PosteriorGrid(
-        grid=grid,
-        prevalence=model.prevalence,
-        diagnostic=d,
-        counts=counts,
-        warnings=notes,
-    )
+    return _finish(prior, density, notes)
 
 
 def posterior(
@@ -272,7 +264,7 @@ def posterior(
     The prevalence defaults to the observed rate t/n; an explicit value
     reinterprets the infection rate while keeping the population size.
     """
-    return _build_grid(counts, _resolve(counts, pi, d, rescaled=False), d, grid_size)
+    return _build_grid(counts, _resolve(counts, pi, d, rescaled=False), grid_size)
 
 
 def posterior_at_prevalence(
@@ -287,7 +279,7 @@ def posterior_at_prevalence(
     consistent with the observed totals; with ``prevalence`` equal to
     t/n and a perfect test this coincides with :func:`posterior`.
     """
-    return _build_grid(counts, _resolve(counts, prevalence, d, rescaled=True), d, grid_size)
+    return _build_grid(counts, _resolve(counts, prevalence, d, rescaled=True), grid_size)
 
 
 def map_estimate(
@@ -565,15 +557,7 @@ def marginalize_over_diagnostics(
             f"excluded {skipped} of {skipped + kept} diagnostic lattice points",
         )
     accumulated /= kept
-    accumulated.flags.writeable = False
-    mixture = grid_normalize(prior.with_values(accumulated))
-    return PosteriorGrid(
-        grid=mixture,
-        prevalence=prevalence,
-        diagnostic=None,
-        counts=counts,
-        warnings=notes,
-    )
+    return _finish(prior, accumulated, notes)
 
 
 def _lattice(bounds: tuple[float, float], size: int, name: str) -> np.ndarray:

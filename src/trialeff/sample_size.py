@@ -26,11 +26,19 @@ DEFAULT_PI_GRID = (0.5, 0.1, 0.05, 0.01, 0.005, 0.001, 0.0005)
 
 
 def _check_error_rates(alpha: float, beta: float) -> None:
-    """DomainError unless both error rates lie strictly inside (0, 1)."""
+    """DomainError unless both error rates lie strictly inside (0, 1).
+
+    A rate so small that its quantile point 1 - alpha/2 (or 1 - beta)
+    rounds to 1 is rejected too, since the normal quantile is undefined there.
+    """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     if not 0.0 < beta < 1.0:
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
+    if 1.0 - alpha / 2.0 == 1.0:
+        raise DomainError(f"alpha must leave 1 - alpha/2 below 1, got {alpha}")
+    if 1.0 - beta == 1.0:
+        raise DomainError(f"beta must leave 1 - beta below 1, got {beta}")
 
 
 @dataclass(frozen=True)

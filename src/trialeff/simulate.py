@@ -88,9 +88,6 @@ class MethodResult:
     evaluated: int
     failures: int
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class ReplicateRecord:
@@ -122,7 +119,7 @@ class CoverageReport:
         return {
             "config": self.config.as_dict(),
             "replicates": self.replicates,
-            "methods": {name: res.as_dict() for name, res in self.methods.items()},
+            "methods": {name: asdict(res) for name, res in self.methods.items()},
         }
 
     def to_json(self) -> str:

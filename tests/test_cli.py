@@ -134,6 +134,17 @@ class TestEstimate:
         assert out == ""
         assert "level must lie in (0, 1), got 1.5" in err
 
+    @pytest.mark.parametrize(
+        "method", ["all", "conditional", "wald", "cramer-rao", "fisher-rr"]
+    )
+    def test_level_whose_upper_tail_rounds_to_one_exits_2(self, method, capsys):
+        level = "0.9999999999999999"
+        code, out, err = run_cli(
+            ["estimate", "--trial", "pfizer", "--level", level, "--method", method], capsys
+        )
+        assert (code, out) == (2, "")
+        assert f"level must leave (1 + level)/2 below 1, got {level}" in err
+
     @pytest.mark.parametrize("pi", ["inf", "nan", "0", "2"])
     @pytest.mark.parametrize(
         "method", ["all", "conditional", "wald", "cramer-rao", "fisher-rr"]
@@ -221,6 +232,23 @@ class TestSampleSize:
         code, out, err = run_cli(["sample-size", *flags], capsys)
         assert (code, out) == (2, "")
         assert "the sample size is not a finite float" in err
+
+    @pytest.mark.parametrize("table", [[], ["--table"]], ids=["single", "table"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--alpha", "1e-17", "alpha must leave 1 - alpha/2 below 1, got 1e-17"),
+         ("--beta", "5e-17", "beta must leave 1 - beta below 1, got 5e-17")],
+        ids=["alpha", "beta"],
+    )
+    def test_rate_whose_complement_rounds_to_one_exits_2(self, flag, value, message, table,
+                                                         capsys):
+        code, out, err = run_cli(
+            ["sample-size", "--ve", "0.5", "--delta", "0.1", "--pi", "0.1", flag, value,
+             *table],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert message in err
 
     @pytest.mark.parametrize("ve", ["abc", "0.5,0.6"])
     def test_single_value_flag_takes_one_number(self, ve, capsys):
@@ -486,6 +514,15 @@ class TestCoverage:
         assert doc["inputs"]["methods"] == ["wald"]
         assert list(doc["results"]["methods"]) == ["wald"]
         assert len(parse_csv(dump.read_text())) == 5
+
+    def test_level_whose_upper_tail_rounds_to_one_exits_2(self, capsys):
+        code, out, err = run_cli(
+            [*self.BASE, "--level", "0.9999999999999999", "--methods",
+             "conditional,wald,cramer-rao,fisher-rr"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert "level must leave (1 + level)/2 below 1" in err
 
     def test_invalid_method_exits_2(self, capsys):
         code, _, err = run_cli(

@@ -228,6 +228,13 @@ class TestGrid:
         with pytest.raises(DomainError, match="equal length"):
             Grid(np.array([0.0, 0.5, 1.0]), np.ones(2))
 
+    def test_compares_and_hashes_by_identity(self):
+        x, y = np.linspace(0, 1, 5), np.ones(5)
+        g = Grid(x, y)
+        assert (Grid(x, y) == Grid(x, y)) is False
+        assert g == g and g != g.with_values(y)
+        assert len({g, g, Grid(x, y)}) == 2
+
     def test_values_are_immutable(self):
         g = Grid(np.linspace(0, 1, 5), np.ones(5))
         with pytest.raises(ValueError):

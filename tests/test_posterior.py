@@ -542,10 +542,20 @@ class TestSharedAbscissae:
         assert _cached_uniform_prior.cache_info() == before
 
 
-@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, math.nan])
-def test_every_level_check_is_the_same_check(level):
+OUT_OF_RANGE = r"level must lie in \(0, 1\)"
+# The largest double below 1: (1 + level)/2 rounds to 1 and has no normal quantile.
+TAIL_ROUNDS_TO_ONE = r"level must leave \(1 \+ level\)/2 below 1"
+
+
+@pytest.mark.parametrize(
+    "level, message",
+    [pytest.param(level, OUT_OF_RANGE, id=str(level)) for level in (0.0, 1.0, 1.5, math.nan)]
+    + [pytest.param(0.9999999999999999, TAIL_ROUNDS_TO_ONE, id="largest-below-1")],
+)
+def test_every_level_check_is_the_same_check(level, message):
     post = posterior(AZ, grid_size=2001)
     for build in (
+        lambda: credible_interval(post, level, "hpd"),
         lambda: credible_interval(post, level),
         lambda: cramer_rao_interval(AZ, level=level),
         lambda: cramer_rao_at_prevalence(AZ, 0.5, level=level),
@@ -553,5 +563,33 @@ def test_every_level_check_is_the_same_check(level):
         lambda: fisher_rr_interval(AZ, level),
         lambda: SimulationConfig(n_per_arm=100, prevalence=0.1, ve=0.5, level=level),
     ):
-        with pytest.raises(DomainError, match=rf"level must lie in \(0, 1\), got {level}"):
+        with pytest.raises(DomainError, match=rf"{message}, got {level}"):
             build()
+
+
+def test_level_just_below_the_rejected_one_keeps_its_intervals():
+    level = 0.9999999999999998
+    post = posterior(PFIZER, grid_size=2001)
+    bounds = {
+        "equal-tailed": credible_interval(post, level),
+        "hpd": credible_interval(post, level, "hpd"),
+        "cramer-rao": cramer_rao_interval(PFIZER, level=level),
+        "wald": wald_efficacy_interval(PFIZER, level),
+        "fisher-rr": fisher_rr_interval(PFIZER, level),
+    }
+    assert {name: (est.lower, est.upper) for name, est in bounds.items()} == {
+        "equal-tailed": (1.6315549751106145e-05, 1.0),
+        "hpd": (3.263109950221229e-05, 1.0),
+        "cramer-rao": (0.27526603619878565, 1.625968531702449),
+        "wald": (0.02870895287188402, 0.9974541008006466),
+        "fisher-rr": (-0.6303370339294085, 0.7297917291272258),
+    }
+
+
+class TestIdentity:
+    def test_posteriors_compare_and_hash_by_identity(self):
+        first = posterior(PFIZER, grid_size=2001)
+        second = posterior(PFIZER, grid_size=2001)
+        assert first == first and first != second
+        assert hash(first) == hash(first)
+        assert len({first, second, first}) == 2

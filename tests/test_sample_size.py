@@ -156,12 +156,30 @@ class TestSampleSizeTable:
         assert rows[0].n == 96838
 
 
-@pytest.mark.parametrize("value", [0.0, 1.0, 1.5, -0.1, math.nan])
+# The quantile point of each rate, as the message writes it.
+COMPLEMENT = {"alpha": r"1 - alpha/2", "beta": r"1 - beta"}
+
+
+@pytest.mark.parametrize(
+    "value, rounds_to_one",
+    [pytest.param(v, False, id=str(v)) for v in (0.0, 1.0, 1.5, -0.1, math.nan)]
+    + [pytest.param(v, True, id=str(v)) for v in (1e-17, 5e-17, 5e-324)],
+)
 @pytest.mark.parametrize("name", ["alpha", "beta"])
-def test_every_error_rate_check_is_the_same_check(name, value):
+def test_every_error_rate_check_is_the_same_check(name, value, rounds_to_one):
+    if rounds_to_one:
+        message = rf"{name} must leave {COMPLEMENT[name]} below 1, got {value}"
+    else:
+        message = rf"{name} must lie in \(0, 1\), got {value}"
     for build in (
         lambda: generic_two_sample(1.0, 0.5, **{name: value}),
         lambda: SampleSizeSpec(ve=0.5, delta=0.1, pi=0.05, **{name: value}),
     ):
-        with pytest.raises(DomainError, match=rf"{name} must lie in \(0, 1\), got {value}"):
+        with pytest.raises(DomainError, match=message):
             build()
+
+
+@pytest.mark.parametrize("rounded_z", [True, False])
+@pytest.mark.parametrize("rates, n", [({"alpha": 1.5e-16}, 656), ({"beta": 6e-17}, 828)])
+def test_smallest_accepted_rates_keep_their_sizes(rates, n, rounded_z):
+    assert generic_two_sample(1.0, 0.5, rounded_z=rounded_z, **rates) == n
