@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trialeff import cli
+from trialeff import TRIAL_PRESETS, Grid, PosteriorGrid, cli, posterior
 from trialeff.cli import main
 
 
@@ -405,6 +405,17 @@ class TestCurve:
         assert out == ""
         assert "must lie in" in err
 
+    @pytest.mark.parametrize("figure", ["1", "3"])
+    def test_infeasible_prevalence_is_named_in_the_inputs_terms(self, figure, capsys):
+        # Both figures give the control arm an attack rate of 2*pi/(2 - ve),
+        # which exceeds one above pi = 0.65 at the default efficacy 0.7.
+        code, out, err = run_cli(["curve", "--figure", figure, "--pi-list", "0.66"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: prevalence 0.66 infeasible at efficacy 0.7\n"
+        code, out, _ = run_cli(["curve", "--figure", figure, "--pi-list", "0.65"], capsys)
+        assert code == 0 and out
+
     FIG1 = ["panel", "pi", "n", "alpha", "density"]
     FIG3 = ["panel", "se", "sp", "pi", "alpha", "density"]
 
@@ -426,9 +437,9 @@ class TestCurve:
         panels = []
         block = cli._density_block
 
-        def spy(fixed, post):
+        def spy(fixed, post, cells):
             panels.append((fixed, post))
-            return block(fixed, post)
+            return block(fixed, post, cells)
 
         monkeypatch.setattr(cli, "_density_block", spy)
         code, out, _ = run_cli(["curve", *argv], capsys)
@@ -476,7 +487,39 @@ def test_density_block_equals_csv_writer_rows(fixed, points):
     csv.writer(buffer, lineterminator="\n").writerows(
         (*fixed, alpha, density) for alpha, density in points
     )
-    assert cli._density_block(fixed, post) == buffer.getvalue()
+    cells = cli._alpha_cells(post.efficacies)
+    assert cli._density_block(fixed, post, cells) == buffer.getvalue()
+
+
+class TestAlphaCells:
+    """Each efficacy array's ``alpha`` cells, formatted once per CSV."""
+
+    @staticmethod
+    def alpha_column(text):
+        return [line.split(",")[-2] for line in text.splitlines()[1:]]
+
+    def test_panels_on_one_array_format_its_cells_once(self, monkeypatch):
+        formatted = []
+        alpha_cells = cli._alpha_cells
+        monkeypatch.setattr(
+            cli, "_alpha_cells", lambda points: formatted.append(points) or alpha_cells(points)
+        )
+        code = main(["curve", "--figure", "1", "--pi-list", "0.1,0.01,0.001"])
+        assert code == 0
+        assert len(formatted) == 1
+
+    @pytest.mark.parametrize(
+        "points",
+        [np.linspace(0.0, 1.0, 2001), np.linspace(0.0, 1.0, 2001) ** 2],
+        ids=["equal-points", "other-points"],
+    )
+    def test_other_points_of_the_same_length_format_their_own_column(self, points):
+        shared = posterior(TRIAL_PRESETS["pfizer"], grid_size=2001)
+        custom = PosteriorGrid(Grid(points, shared.density))
+        text = cli._density_csv(("panel", "alpha", "density"), [(("a",), shared), (("b",), custom)])
+        column = self.alpha_column(text)
+        assert column[:2001] == [repr(alpha) for alpha in shared.efficacies.tolist()]
+        assert column[2001:] == [repr(alpha) for alpha in points.tolist()]
 
 
 class TestCoverage:

@@ -486,6 +486,11 @@ READINGS = {
     "rescaled-pi-one": (1.0, PERFECT_TEST, True),
     "misclassified": (None, MISCLASSIFYING, False),
 }
+# So many cases that the shifted log density is below exp's floor (its
+# value is 0.0) on over a third of a 20001-point grid, at both ends, with
+# subnormal values where it crosses the floor.
+NARROW = TrialCounts(n_v=3_000_000, t_v=9_000, n_c=3_000_000, t_c=30_000)
+SMALLEST_NORMAL = np.finfo(np.float64).tiny
 
 
 class TestBitIdentity:
@@ -518,6 +523,29 @@ class TestBitIdentity:
         assert 0 < kept < size * size  # the loop skipped some points
         mixture = accumulated / kept
         alpha = np.linspace(0.0, 1.0, grid_size)
+        assert (mixed.density == mixture / np.trapezoid(mixture, alpha)).all()
+
+    def test_narrow_posterior_is_the_reference_bit_for_bit(self):
+        post = posterior(NARROW, grid_size=20001)
+        alpha, density, cdf = reference_posterior(NARROW, None, PERFECT_TEST, 20001, False)
+        assert (density == 0.0).mean() >= 0.3 and density[0] == density[-1] == 0.0
+        assert ((density > 0.0) & (density < SMALLEST_NORMAL)).any()
+        assert (post.density == density).all()
+        assert (grid_cdf(post.grid) == cdf).all()
+
+    def test_narrow_mixture_is_the_reference_bit_for_bit(self):
+        se_range, sp_range, size = (0.95, 1.0), (0.9999, 1.0), 3
+        mixed = marginalize_over_diagnostics(NARROW, se_range, sp_range, None, 20001, size)
+        accumulated = np.zeros(20001)
+        for se in np.linspace(*se_range, size):
+            for sp in np.linspace(*sp_range, size):
+                profile = DiagnosticProfile(sensitivity=se, specificity=sp)
+                alpha, density, _ = reference_posterior(
+                    NARROW, NARROW.overall_rate, profile, 20001, False
+                )
+                accumulated += density
+        mixture = accumulated / size**2
+        assert (mixture == 0.0).mean() >= 0.3
         assert (mixed.density == mixture / np.trapezoid(mixture, alpha)).all()
 
 
