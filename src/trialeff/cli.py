@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .diagnostics import npv, ppv, prevalence_threshold
 from .errors import DegenerateDataError, DomainError, EstimationError
-from .numerics import _check_level, _check_prevalence
+from .numerics import _check_level, _check_prevalence, _check_range
 from .posterior import (
     _METHODS,
     DEFAULT_GRID_SIZE,
@@ -144,14 +144,13 @@ def main(argv=None) -> int:
     # Looked up at call time, so a rebound handler (a test double) is the one called.
     handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        text = handler(args)
+        _emit(handler(args), args.output)
     except DegenerateDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except EstimationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(text, args.output)
     return 0
 
 
@@ -167,7 +166,15 @@ def _emit(text: str, output: Path | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        output.write_text(text, encoding="utf-8")
+        _write_file(output, text)
+
+
+def _write_file(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written is a DomainError."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _document(command: str, method: str, inputs: dict, results) -> str:
@@ -456,8 +463,8 @@ def _dump_posterior(args) -> str:
 def _cmd_curve(args) -> str:
     # Checked before any panel is built: outside [0, 1] the case split
     # divides by zero at 2 and yields curves of no trial elsewhere.
-    if args.ve is not None and not 0.0 <= args.ve <= 1.0:
-        raise DomainError(f"--ve must lie in [0, 1], got {args.ve}")
+    if args.ve is not None:
+        _check_range(args.ve, "--ve", "[0, 1]")
     builders = {None: _dump_posterior, 1: _figure1, 2: _figure2, 3: _figure3, 4: _figure4}
     return builders[args.figure](args)
 
@@ -480,7 +487,7 @@ def _cmd_coverage(args) -> str:
     )
     report = coverage_study(config, keep_replicates=args.dump is not None)
     if args.dump is not None:
-        args.dump.write_text(replicates_to_csv(report), encoding="utf-8")
+        _write_file(args.dump, replicates_to_csv(report))
     results = report.as_dict()
     inputs = results.pop("config")
     return _document("coverage", "monte-carlo", inputs, results)

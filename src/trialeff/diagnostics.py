@@ -5,13 +5,13 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
+from .numerics import _check_range
 from .trial import DiagnosticProfile
 
 
 def ppv(pi: float, d: DiagnosticProfile) -> float:
     """Positive predictive value Se*pi / (Se*pi + (1-Sp)(1-pi))."""
-    if not 0.0 <= pi <= 1.0:
-        raise DomainError(f"prevalence must lie in [0, 1], got {pi}")
+    _check_range(pi, "prevalence", "[0, 1]")
     true_pos = d.sensitivity * pi
     denom = true_pos + d.false_positive_rate * (1.0 - pi)
     if denom <= 0.0:
@@ -21,8 +21,7 @@ def ppv(pi: float, d: DiagnosticProfile) -> float:
 
 def npv(pi: float, d: DiagnosticProfile) -> float:
     """Negative predictive value Sp*(1-pi) / (Sp*(1-pi) + (1-Se)*pi)."""
-    if not 0.0 <= pi <= 1.0:
-        raise DomainError(f"prevalence must lie in [0, 1], got {pi}")
+    _check_range(pi, "prevalence", "[0, 1]")
     true_neg = d.specificity * (1.0 - pi)
     denom = true_neg + (1.0 - d.sensitivity) * pi
     if denom <= 0.0:

@@ -65,22 +65,32 @@ def _as_count(value, name: str) -> int:
     return whole
 
 
+def _check_range(value: float, name: str, interval: str) -> None:
+    """DomainError unless ``value`` lies in ``interval``: "[0, 1]", "(0, 1)", "(0, 1]" or "[0, 1)".
+
+    A round bracket excludes its end.  A NaN fails every comparison, so it
+    lies in no interval.
+    """
+    above = 0.0 < value if interval[0] == "(" else 0.0 <= value
+    below = value < 1.0 if interval[-1] == ")" else value <= 1.0
+    if not (above and below):
+        raise DomainError(f"{name} must lie in {interval}, got {value}")
+
+
 def _check_level(level: float) -> None:
     """DomainError unless the interval level lies strictly inside (0, 1).
 
     The largest double below 1 is rejected too: its upper tail point
     (1 + level)/2 rounds to 1, where the normal quantile is undefined.
     """
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"level must lie in (0, 1), got {level}")
+    _check_range(level, "level", "(0, 1)")
     if 0.5 * (1.0 + level) == 1.0:
         raise DomainError(f"level must leave (1 + level)/2 below 1, got {level}")
 
 
 def _check_prevalence(pi: float) -> None:
     """DomainError unless an assumed prevalence lies in (0, 1]."""
-    if not 0.0 < pi <= 1.0:
-        raise DomainError(f"prevalence must lie in (0, 1], got {pi}")
+    _check_range(pi, "prevalence", "(0, 1]")
 
 
 def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
@@ -92,8 +102,7 @@ def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
     """
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"shape parameters must be positive, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x must lie in [0, 1], got {x}")
+    _check_range(x, "x", "[0, 1]")
     if x == 0.0:
         return 0.0
     if x == 1.0:

@@ -50,6 +50,7 @@ from .numerics import (
     _as_count,
     _check_level,
     _check_prevalence,
+    _check_range,
     grid_cdf,
     grid_normalize,
     grid_quantile,
@@ -92,8 +93,7 @@ class PosteriorGrid:
 
 def observed_rate(pi: float, d: DiagnosticProfile) -> float:
     """Fraction testing positive at true prevalence ``pi``: c1 + c2*pi."""
-    if not 0.0 <= pi <= 1.0:
-        raise DomainError(f"prevalence must lie in [0, 1], got {pi}")
+    _check_range(pi, "prevalence", "[0, 1]")
     return d.false_positive_rate + d.discrimination * pi
 
 
@@ -120,7 +120,8 @@ def _resolve(
     ``pi`` is given; the rescaled reading keeps the case totals and sets
     N = t/T.  Guards: prevalence domain, then no control-arm cases, then
     an observed rate no larger than the false positive rate, then a
-    rescaled N too large for a float.
+    rescaled N too large for a float, then an observed rate so small that
+    the kernel's T/(2 - alpha) underflows to 0 at alpha = 0.
     """
     if rescaled:
         _check_prevalence(pi)
@@ -141,6 +142,11 @@ def _resolve(
             f"prevalence {prevalence:.3g} is too small to rescale: "
             f"the cohort t/T = {counts.t}/{rate:.3g} overflows"
         )
+    if rate / 2.0 == 0.0:
+        raise DomainError(
+            f"prevalence {prevalence:.3g} is too small: the observed rate "
+            f"T = {rate:.3g} underflows to 0 when halved"
+        )
     return _Model(total_n, counts.t_c, rate, prevalence)
 
 
@@ -156,8 +162,7 @@ def log_likelihood(
     p = (c1 + c2*pi)/(2 - alpha).
     """
     model = _resolve(counts, pi, d, rescaled=False)
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"efficacy must lie in [0, 1], got {alpha}")
+    _check_range(alpha, "efficacy", "[0, 1]")
     p = model.rate / (2.0 - alpha)
     if not 0.0 < p < 1.0:
         raise DomainError(

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .numerics import _check_prevalence, normal_quantile
+from .numerics import _check_prevalence, _check_range, normal_quantile
 
 DEFAULT_VE_GRID = (0.0, 0.3, 0.6, 0.9)
 DEFAULT_DELTA_GRID = (0.1, 0.2, 0.3, 0.4)
@@ -31,10 +31,8 @@ def _check_error_rates(alpha: float, beta: float) -> None:
     A rate so small that its quantile point 1 - alpha/2 (or 1 - beta)
     rounds to 1 is rejected too, since the normal quantile is undefined there.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"beta must lie in (0, 1), got {beta}")
+    _check_range(alpha, "alpha", "(0, 1)")
+    _check_range(beta, "beta", "(0, 1)")
     if 1.0 - alpha / 2.0 == 1.0:
         raise DomainError(f"alpha must leave 1 - alpha/2 below 1, got {alpha}")
     if 1.0 - beta == 1.0:
@@ -52,14 +50,10 @@ class SampleSizeSpec:
     beta: float = 0.2
 
     def __post_init__(self):
-        if not 0.0 <= self.ve < 1.0:
-            raise DomainError(f"anticipated efficacy must lie in [0, 1), got {self.ve}")
-        if not 0.0 < self.delta <= 1.0:
-            raise DomainError(f"effect size must lie in (0, 1], got {self.delta}")
+        _check_range(self.ve, "anticipated efficacy", "[0, 1)")
+        _check_range(self.delta, "effect size", "(0, 1]")
         _check_prevalence(self.pi)
         _check_error_rates(self.alpha, self.beta)
-        if 2.0 - self.ve - self.pi <= 0.0:
-            raise DomainError("require 2 - VE - pi > 0")
 
 
 def _z_sum(alpha: float, beta: float, rounded_z: bool) -> float:
@@ -160,9 +154,9 @@ def sample_size_table(
 ) -> list[SampleSizeRow]:
     """Full (VE, delta, pi) grid of total sample sizes.
 
-    Every cell is defined on valid lists (2 - VE - pi > 0 holds inside
-    each value's own range), so the first cell outside the chosen
-    formula's domain raises a ``DomainError`` naming that cell.
+    Each value is checked in its own range, so 2 - VE - pi > 0 holds in
+    exact arithmetic, and the first cell outside the chosen formula's
+    domain raises a ``DomainError`` naming that cell.
     """
     if method not in _METHODS:
         raise DomainError(f"method must be one of {sorted(_METHODS)}, got {method!r}")

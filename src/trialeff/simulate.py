@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DomainError, EstimationError
-from .numerics import _as_count, _check_level, _check_prevalence
+from .numerics import _as_count, _check_level, _check_prevalence, _check_range
 from .posterior import _METHODS, MIN_GRID_SIZE, _check_grid_size, _interval
 from .trial import PERFECT_TEST, DiagnosticProfile, IntervalEstimate, TrialCounts
 
@@ -55,8 +55,7 @@ class SimulationConfig:
                 f"n_per_arm must lie in [1, {_MAX_BINOMIAL_N}], got {self.n_per_arm}"
             )
         _check_prevalence(self.prevalence)
-        if not 0.0 <= self.ve <= 1.0:
-            raise DomainError(f"true efficacy must lie in [0, 1], got {self.ve}")
+        _check_range(self.ve, "true efficacy", "[0, 1]")
         if self.replicates < 1:
             raise DomainError(f"replicates must be at least 1, got {self.replicates}")
         _check_level(self.level)

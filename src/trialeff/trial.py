@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .numerics import _as_count
+from .numerics import _as_count, _check_range
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,8 @@ class DiagnosticProfile:
     specificity: float
 
     def __post_init__(self):
-        if not 0.0 <= self.sensitivity <= 1.0:
-            raise DomainError(f"sensitivity must lie in [0, 1], got {self.sensitivity}")
-        if not 0.0 <= self.specificity <= 1.0:
-            raise DomainError(f"specificity must lie in [0, 1], got {self.specificity}")
+        _check_range(self.sensitivity, "sensitivity", "[0, 1]")
+        _check_range(self.specificity, "specificity", "[0, 1]")
         if self.discrimination <= 0.0:
             raise DomainError(
                 "sensitivity + specificity must exceed 1 "

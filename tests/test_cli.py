@@ -687,3 +687,19 @@ class TestOutputFile:
         assert out == ""
         rows = parse_csv(target.read_text(encoding="utf-8"))
         assert len(rows) == 112
+
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["estimate", "--trial", "pfizer", "--method", "wald", "--output"], "missing/x.json"),
+            (["estimate", "--trial", "pfizer", "--method", "wald", "--output"], ""),
+            (["coverage", "--n-per-arm", "100", "--pi-c", "0.1", "--ve", "0.5",
+              "--replicates", "3", "--dump"], "missing/d.csv"),
+        ],
+        ids=["output-in-missing-directory", "output-is-a-directory", "dump-in-missing-directory"],
+    )
+    def test_unwritable_path_exits_2(self, argv, target, capsys, tmp_path):
+        path = tmp_path / target
+        code, out, err = run_cli([*argv, str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ")

@@ -10,7 +10,14 @@ The flags of ``curve`` (the four figures and the posterior dump) are drawn
 from edge values.  The same exits are allowed, and a success must print a
 CSV with the documented header, one width for every row, the grid's
 ``alpha`` column in every density panel and only finite, non-negative
-densities.
+densities.  The flags of ``diagnostics`` are drawn from all doubles too, in
+the point and the ``--curve`` form: a success prints strict JSON or the
+whole 999-row sweep.
+
+The library entry points are called with floats from all doubles plus edge
+values: only the package's typed errors may escape, and the only warnings
+are the documented ones, a clamped mode and ``marginal_likelihood``'s
+fallback for a single control-arm case.
 """
 
 import contextlib
@@ -18,11 +25,35 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from trialeff import (
+    PERFECT_TEST,
+    TRIAL_PRESETS,
+    ClampedModeWarning,
+    DiagnosticProfile,
+    EstimationError,
+    SampleSizeSpec,
+    TrialCounts,
+    cramer_rao_interval,
+    cramer_rao_sample_size,
+    credible_interval,
+    generic_two_sample,
+    log_likelihood,
+    map_estimate,
+    marginal_likelihood,
+    marginalize_over_diagnostics,
+    npv,
+    observed_rate,
+    posterior,
+    posterior_at_prevalence,
+    ppv,
+    wald_sample_size,
+)
 from trialeff.cli import main
 
 EDGES = (0.0, 1.0, 5e-324, 1e-17, 5e-17, 0.9999999999999999)
@@ -164,3 +195,96 @@ def test_any_curve_input_ends_in_a_typed_exit_or_a_whole_csv(case):
     for row in rows:
         density = float(row[-1])
         assert math.isfinite(density) and density >= 0.0
+
+
+@st.composite
+def diagnostics_argv(draw):
+    argv = ["diagnostics", flag("se", draw(values)), flag("sp", draw(values))]
+    if draw(st.booleans()):
+        argv.append(flag("pi", draw(values)))
+    if draw(st.booleans()):
+        argv.append("--curve")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(diagnostics_argv())
+def test_any_diagnostics_input_ends_in_a_typed_exit(argv):
+    code, out, err = run_main(argv)
+    assert code in (0, 2, 3), (code, err)
+    if code != 0:
+        assert out == ""
+        return
+    if "--curve" not in argv:
+        json.loads(out, parse_constant=reject_constant)
+        return
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["pi", "ppv", "npv"]
+    assert len(rows) == 999
+    for row in rows:
+        assert len(row) == 3 and all(math.isfinite(float(cell)) for cell in row)
+
+
+LIBRARY_EDGES = (0.0, 1.0, 5e-324, 1e-300, 0.9999999999999999)
+library_values = st.one_of(st.sampled_from(LIBRARY_EDGES), st.floats(), st.floats(0.0, 1.0))
+COUNTS = {
+    **TRIAL_PRESETS,
+    "one-control-case": TrialCounts(n_v=1000, t_v=0, n_c=1000, t_c=1),
+    "no-control-case": TrialCounts(n_v=1000, t_v=3, n_c=1000, t_c=0),
+}
+GRID = 2001
+
+
+def profile(d):
+    return PERFECT_TEST if d is None else DiagnosticProfile(*d)
+
+
+# Each entry point called with the counts ``c``, a prevalence ``pi`` (None
+# for the default reading), a (sensitivity, specificity) pair ``d`` (None
+# for a perfect test) and five more floats ``x``.
+LIBRARY_CALLS = {
+    "posterior": lambda c, pi, d, x: posterior(c, pi, profile(d), GRID),
+    "posterior_at_prevalence": lambda c, pi, d, x: posterior_at_prevalence(
+        c, x[0], profile(d), GRID),
+    "credible_interval": lambda c, pi, d, x: credible_interval(
+        posterior(c, pi, profile(d), GRID), x[0], "hpd" if x[1] > 0.5 else "equal-tailed"),
+    "cramer_rao_interval": lambda c, pi, d, x: cramer_rao_interval(c, pi, profile(d), x[0]),
+    "map_estimate": lambda c, pi, d, x: map_estimate(c, pi, profile(d)),
+    "marginal_likelihood": lambda c, pi, d, x: marginal_likelihood(c, pi, profile(d)),
+    "log_likelihood": lambda c, pi, d, x: log_likelihood(x[0], c, pi, profile(d)),
+    "marginalize_over_diagnostics": lambda c, pi, d, x: marginalize_over_diagnostics(
+        c, (x[0], x[1]), (x[2], x[3]), pi, GRID, lattice_size=3),
+    "observed_rate": lambda c, pi, d, x: observed_rate(x[0], profile(d)),
+    "ppv": lambda c, pi, d, x: ppv(x[0], profile(d)),
+    "npv": lambda c, pi, d, x: npv(x[0], profile(d)),
+    "DiagnosticProfile": lambda c, pi, d, x: profile(d),
+    "generic_two_sample": lambda c, pi, d, x: generic_two_sample(*x[:4], x[4] > 0.5),
+    "wald_sample_size": lambda c, pi, d, x: wald_sample_size(SampleSizeSpec(*x), x[0] > 0.5),
+    "cramer_rao_sample_size": lambda c, pi, d, x: cramer_rao_sample_size(
+        SampleSizeSpec(*x), x[0] > 0.5),
+}
+SINGLE_CASE_FALLBACK = "closed form needs at least two control-arm cases"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(LIBRARY_CALLS)),
+    st.sampled_from(sorted(COUNTS)),
+    st.none() | library_values,
+    st.none() | st.tuples(library_values, library_values),
+    st.lists(library_values, min_size=5, max_size=5),
+)
+@example("posterior", "pfizer", 5e-324, None, [0.95] * 5)
+@example("cramer_rao_interval", "pfizer", 5e-324, None, [0.95] * 5)
+@example("marginal_likelihood", "pfizer", 5e-324, None, [0.95] * 5)
+def test_any_float_input_to_the_library_raises_only_typed_errors(name, counts, pi, d, x):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            LIBRARY_CALLS[name](COUNTS[counts], pi, d, x)
+        except EstimationError:
+            pass
+    for warning in caught:
+        assert warning.category is ClampedModeWarning or (
+            name == "marginal_likelihood" and str(warning.message).startswith(SINGLE_CASE_FALLBACK)
+        ), (warning.category, str(warning.message))

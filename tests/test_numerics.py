@@ -11,19 +11,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trialeff import (
+    PERFECT_TEST,
+    TRIAL_PRESETS,
     DegenerateDensityError,
+    DiagnosticProfile,
     DomainError,
     Grid,
+    SampleSizeSpec,
+    SimulationConfig,
     TrialCounts,
     grid_integral,
     grid_normalize,
     grid_quantile,
     log_binomial_coefficient,
+    log_likelihood,
     normal_cdf,
     normal_quantile,
+    npv,
+    observed_rate,
+    ppv,
     regularized_incomplete_beta,
 )
-from trialeff.numerics import grid_cdf
+from trialeff.cli import main
+from trialeff.numerics import _check_range, grid_cdf
 
 mp.mp.dps = 50
 
@@ -362,3 +372,69 @@ class TestGrid:
             grid_quantile(g, 0.0)
         with pytest.raises(DomainError):
             grid_quantile(g, 1.0)
+
+
+UNIT_INTERVALS = ("[0, 1]", "(0, 1)", "(0, 1]", "[0, 1)")
+
+
+@pytest.mark.parametrize(
+    "value, inside",
+    [
+        (math.nan, (False, False, False, False)),
+        (math.inf, (False, False, False, False)),
+        (-math.inf, (False, False, False, False)),
+        (-0.0, (True, False, False, True)),
+        (0.0, (True, False, False, True)),
+        (5e-324, (True, True, True, True)),
+        (0.5, (True, True, True, True)),
+        (0.9999999999999999, (True, True, True, True)),
+        (1.0, (True, False, True, False)),
+        (1.0000000000000002, (False, False, False, False)),
+    ],
+    ids=repr,
+)
+def test_check_range_truth_table(value, inside):
+    # ``inside`` is membership in each of UNIT_INTERVALS, in that order.
+    for interval, expected in zip(UNIT_INTERVALS, inside):
+        if expected:
+            _check_range(value, "v", interval)
+            continue
+        with pytest.raises(DomainError) as info:
+            _check_range(value, "v", interval)
+        assert str(info.value) == f"v must lie in {interval}, got {value}"
+
+
+PFIZER = TRIAL_PRESETS["pfizer"]
+
+
+# One out-of-range value per unit-interval check, with its exact message.
+# The level, alpha, beta and (0, 1] prevalence messages are pinned in
+# test_posterior.py, test_sample_size.py and test_cli.py.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: regularized_incomplete_beta(1.5, 2.0, 3.0), "x must lie in [0, 1], got 1.5"),
+        (lambda: observed_rate(-0.5, PERFECT_TEST), "prevalence must lie in [0, 1], got -0.5"),
+        (lambda: ppv(math.nan, PERFECT_TEST), "prevalence must lie in [0, 1], got nan"),
+        (lambda: npv(math.inf, PERFECT_TEST), "prevalence must lie in [0, 1], got inf"),
+        (lambda: log_likelihood(1.0000000000000002, PFIZER),
+         "efficacy must lie in [0, 1], got 1.0000000000000002"),
+        (lambda: DiagnosticProfile(-1e-300, 1.0), "sensitivity must lie in [0, 1], got -1e-300"),
+        (lambda: DiagnosticProfile(1.0, 2.0), "specificity must lie in [0, 1], got 2.0"),
+        (lambda: SimulationConfig(n_per_arm=100, prevalence=0.1, ve=-0.1),
+         "true efficacy must lie in [0, 1], got -0.1"),
+        (lambda: SampleSizeSpec(1.0, 0.1, 0.5), "anticipated efficacy must lie in [0, 1), got 1.0"),
+        (lambda: SampleSizeSpec(0.5, 0.0, 0.5), "effect size must lie in (0, 1], got 0.0"),
+    ],
+    ids=["x", "observed_rate", "ppv", "npv", "efficacy", "sensitivity", "specificity",
+         "true-efficacy", "anticipated-efficacy", "effect-size"],
+)
+def test_unit_interval_messages(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_curve_efficacy_message(capsys):
+    assert main(["curve", "--figure", "2", "--ve", "nan"]) == 2
+    assert capsys.readouterr() == ("", "error: --ve must lie in [0, 1], got nan\n")

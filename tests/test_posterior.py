@@ -212,8 +212,20 @@ class TestPosteriorAtPrevalence:
     def test_prevalence_too_small_to_rescale(self, analysis):
         # N = t/T overflows to inf: the grid kernel would turn NaN and the
         # information bound would give a zero-width interval.
-        with pytest.raises(DomainError, match="too small to rescale"):
-            analysis(PFIZER, 1e-307)
+        # At 5e-324 this guard comes before the one on an observed rate
+        # that underflows when halved.
+        for prevalence in (1e-307, 5e-324):
+            with pytest.raises(DomainError, match="too small to rescale"):
+                analysis(PFIZER, prevalence)
+
+
+@pytest.mark.parametrize("analysis", [posterior, cramer_rao_interval, marginal_likelihood])
+def test_observed_rate_that_underflows_when_halved_is_a_domain_error(analysis):
+    # T = 5e-324 gives p = T/(2 - alpha) = 0 at alpha = 0: the grid kernel
+    # would take log(0), the information bound a width near 1e160 and the
+    # marginal likelihood 0.
+    with pytest.raises(DomainError, match=r"observed rate T = 4\.94e-324 underflows to 0"):
+        analysis(PFIZER, 5e-324)
 
 
 class TestMapEstimate:
