@@ -3,17 +3,20 @@
 Machine-readable output only: JSON documents on stdout for point
 results, CSV for tables and curves (LF line endings, ``.`` decimal
 separator).  Human diagnostics go to stderr.  Exit codes: 0 success,
-2 domain/validation error, 3 degenerate data.
+1 stdout closed by its reader, 2 domain/validation error, 3 degenerate
+data.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
@@ -151,6 +154,14 @@ def main(argv=None) -> int:
     except EstimationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of stdout has exited.  Python flushes stdout again at
+        # exit, so its descriptor goes to devnull first, as the signal
+        # module's note on SIGPIPE recommends.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 
@@ -165,14 +176,19 @@ def entrypoint() -> None:
 def _emit(text: str, output: Path | None) -> None:
     if output is None:
         sys.stdout.write(text)
+        # A reader that has gone raises here, inside main, not at exit.
+        sys.stdout.flush()
     else:
-        _write_file(output, text)
+        with _output_file(output) as handle:
+            handle.write(text)
 
 
-def _write_file(path: Path, text: str) -> None:
-    """Write ``text`` to ``path``; a path that cannot be written is a DomainError."""
+@contextlib.contextmanager
+def _output_file(path: Path):
+    """``path`` opened for writing on entry; an OSError opening or writing it is a DomainError."""
     try:
-        path.write_text(text, encoding="utf-8")
+        with path.open("w", encoding="utf-8") as handle:
+            yield handle
     except OSError as exc:
         raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -485,9 +501,13 @@ def _cmd_coverage(args) -> str:
         level=args.level,
         grid_size=args.grid,
     )
-    report = coverage_study(config, keep_replicates=args.dump is not None)
-    if args.dump is not None:
-        _write_file(args.dump, replicates_to_csv(report))
+    if args.dump is None:
+        report = coverage_study(config)
+    else:
+        # Opened before the study, so a path that cannot be written fails at once.
+        with _output_file(args.dump) as dump:
+            report = coverage_study(config, keep_replicates=True)
+            dump.write(replicates_to_csv(report))
     results = report.as_dict()
     inputs = results.pop("config")
     return _document("coverage", "monte-carlo", inputs, results)

@@ -216,7 +216,7 @@ def _log_kernel(alpha: np.ndarray, model: _Model) -> np.ndarray:
     out = np.empty_like(alpha)
     p = np.subtract(2.0, alpha)
     np.divide(model.rate, p, out=p)
-    k = int(np.searchsorted(p, 1.0))
+    k = int(p.searchsorted(1.0))
     inside = p[:k]
     out[k:] = -np.inf
     head = np.log(inside, out=out[:k])
@@ -253,7 +253,7 @@ def _build_grid(counts: TrialCounts, model: _Model, grid_size: int) -> Posterior
     prior = _uniform_prior(grid_size)
     notes = _balance_warnings(counts)
     density = _log_kernel(prior.points, model)
-    density -= density.max()
+    density -= np.maximum.reduce(density)
     np.exp(density, out=density)
     return _finish(prior, density, notes)
 
@@ -381,15 +381,19 @@ def _information_interval(
 def _grid_mode(grid: Grid) -> float:
     """Argmax refined by a local quadratic fit in log density."""
     values = grid.values
-    i = int(np.argmax(values))
-    if 0 < i < len(values) - 1 and values[i - 1] > 0 and values[i + 1] > 0:
-        y0, y1, y2 = np.log(values[i - 1 : i + 2])
-        curvature = y0 - 2.0 * y1 + y2
-        if curvature < 0.0:
-            offset = 0.5 * (y0 - y2) / curvature
-            offset = min(0.5, max(-0.5, offset))
-            step = grid.points[i + 1] - grid.points[i]
-            return float(grid.points[i] + offset * step)
+    i = int(values.argmax())
+    if 0 < i < len(values) - 1:
+        # The fit runs on Python floats: the same IEEE arithmetic as numpy
+        # scalars, at a fraction of the cost per operation.
+        left, _, right = values[i - 1 : i + 2].tolist()
+        if left > 0 and right > 0:
+            y0, y1, y2 = np.log(values[i - 1 : i + 2]).tolist()
+            curvature = y0 - 2.0 * y1 + y2
+            if curvature < 0.0:
+                offset = 0.5 * (y0 - y2) / curvature
+                offset = min(0.5, max(-0.5, offset))
+                x0, x1 = grid.points[i : i + 2].tolist()
+                return x0 + offset * (x1 - x0)
     return float(grid.points[i])
 
 

@@ -66,7 +66,8 @@ def _z_sum(alpha: float, beta: float, rounded_z: bool) -> float:
 
 
 def _nearest_int(x: float) -> int:
-    return int(math.floor(x + 0.5))
+    """``x`` rounded half up, and at least 1: a trial needs a participant."""
+    return max(1, int(math.floor(x + 0.5)))
 
 
 def _raw_size(formula) -> float:

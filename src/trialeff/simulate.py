@@ -8,11 +8,14 @@ true efficacy.
 
 Each replicate draws from its own substream, ``default_rng((seed,
 index))``, so the report is bit-identical for a given seed and config
-and any single replicate can be drawn again on its own.
+and any single replicate can be drawn again on its own.  The study
+computes those substreams' starting states in blocks and sets each on
+one reused generator instead of building a generator per replicate.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -25,6 +28,17 @@ from .trial import PERFECT_TEST, DiagnosticProfile, IntervalEstimate, TrialCount
 
 # numpy's binomial draws take n as an int64; a larger n raises OverflowError.
 _MAX_BINOMIAL_N = int(np.iinfo(np.int64).max)
+
+# SeedSequence's hash constants and PCG64's LCG multiplier, as numpy's
+# bit_generator.pyx and pcg64.h define them; NEP 19 keeps both seedings stable.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+# Replicates per block: substream states computed per numpy pass, and
+# replicates drawn before their new counts are evaluated.
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -141,41 +155,106 @@ def replicates_to_csv(report: CoverageReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _observe_arm(rng: np.random.Generator, n: int, true_rate: float, d: DiagnosticProfile) -> int:
+def _observe_arm(
+    rng: np.random.Generator, n: int, true_rate: float, sensitivity: float, fpr: float
+) -> int:
     """True cases thinned by sensitivity plus false positives among non-cases."""
     true_cases = int(rng.binomial(n, true_rate))
-    detected = int(rng.binomial(true_cases, d.sensitivity)) if true_cases else 0
-    false_pos = (
-        int(rng.binomial(n - true_cases, d.false_positive_rate))
-        if d.false_positive_rate > 0.0 and n > true_cases
-        else 0
-    )
+    detected = int(rng.binomial(true_cases, sensitivity)) if true_cases else 0
+    false_pos = int(rng.binomial(n - true_cases, fpr)) if fpr > 0.0 and n > true_cases else 0
     return detected + false_pos
 
 
 def simulate_trial(config: SimulationConfig, rng: np.random.Generator) -> TrialCounts:
     """Draw one trial's observed counts under the configured truth."""
     n = config.n_per_arm
-    t_v = _observe_arm(rng, n, config.prevalence_vaccinated, config.diagnostic)
-    t_c = _observe_arm(rng, n, config.prevalence, config.diagnostic)
+    d = config.diagnostic
+    se, fpr = d.sensitivity, d.false_positive_rate
+    t_v = _observe_arm(rng, n, config.prevalence_vaccinated, se, fpr)
+    t_c = _observe_arm(rng, n, config.prevalence, se, fpr)
     return TrialCounts(n_v=n, t_v=t_v, n_c=n, t_c=t_c)
 
 
-def _evaluate(config: SimulationConfig, counts: TrialCounts) -> list[tuple]:
-    """Each method's ``(lower, upper, covered)`` on one draw; all None when undefined."""
-    outcomes = []
-    for method in config.methods:
-        try:
-            est = _interval(method, counts, config.level, grid_size=config.grid_size)
-        except EstimationError:
-            outcomes.append((None, None, None))
-            continue
-        if isinstance(est, IntervalEstimate):
-            lower, upper = est.efficacy_lower, est.efficacy_upper
-        else:
-            lower, upper = est.lower, est.upper
-        outcomes.append((lower, upper, lower <= config.ve <= upper))
-    return outcomes
+def _substream_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """``(state, inc)`` of ``default_rng((seed, i)).bit_generator`` for i in [start, stop).
+
+    ``SeedSequence((seed, i))`` hashes the entropy words ``[seed, i]`` into
+    a pool of four uint32 words and the pool into PCG64's 256-bit seed;
+    PCG64 then takes two steps of its 128-bit LCG.  The uint32 hashing runs
+    over every index at once in numpy, the LCG steps in Python ints.  The
+    seed and every index must fit in one uint32 word: a longer entropy
+    hashes differently.
+    """
+    count = stop - start
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    entropy = (np.full(count, seed, np.uint32), np.arange(start, stop, dtype=np.uint32))
+    pool = [hashmix(word) for word in entropy] + [hashmix(np.zeros(count, np.uint32)) for _ in range(2)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = pool[dst] * _MIX_MULT_L - hashmix(pool[src]) * _MIX_MULT_R
+                pool[dst] = mixed ^ mixed >> 16
+    # generate_state(4, np.uint64): eight words hashed from the pool in
+    # turn, paired into little-endian uint64 words.
+    hash_const = _INIT_B
+    words = []
+    for j in range(8):
+        value = pool[j % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        words.append((value ^ value >> 16).astype(np.uint64))
+    seed_hi, seed_lo, inc_hi, inc_lo = (
+        (words[2 * k] | words[2 * k + 1] << 32).tolist() for k in range(4)
+    )
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        # From state 0: one step gives inc; add the seed; one more step.
+        states.append((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128, inc))
+    return states
+
+
+def _substreams(seed: int, start: int, stop: int):
+    """The generator of each index in [start, stop), drawing as ``default_rng((seed, index))``.
+
+    One generator is reused and its state set for each index, so a caller
+    must finish drawing from it before taking the next.  A seed or index
+    too large for one uint32 word gets its own ``default_rng``.
+    """
+    # Seeded arbitrarily: every index replaces its state.
+    rng = np.random.Generator(np.random.PCG64(0))
+    state = {"bit_generator": "PCG64", "state": None, "has_uint32": 0, "uinteger": 0}
+    # Indices in [start, batched) are computed in blocks: all below 2**32,
+    # or none when the seed itself needs a second word.
+    batched = min(stop, _MASK32 + 1) if seed <= _MASK32 else start
+    for lo in range(start, batched, _BLOCK):
+        for pcg_state, inc in _substream_states(seed, lo, min(lo + _BLOCK, batched)):
+            state["state"] = {"state": pcg_state, "inc": inc}
+            rng.bit_generator.state = state
+            yield rng
+    for index in range(max(start, batched), stop):
+        yield np.random.default_rng((seed, index))
+
+
+def _outcome(method: str, config: SimulationConfig, counts: TrialCounts) -> tuple:
+    """The method's ``(lower, upper, covered)`` on one draw; all None when undefined."""
+    try:
+        est = _interval(method, counts, config.level, grid_size=config.grid_size)
+    except EstimationError:
+        return None, None, None
+    if isinstance(est, IntervalEstimate):
+        lower, upper = est.efficacy_lower, est.efficacy_upper
+    else:
+        lower, upper = est.lower, est.upper
+    return lower, upper, lower <= config.ve <= upper
 
 
 def coverage_study(config: SimulationConfig, keep_replicates: bool = False) -> CoverageReport:
@@ -187,36 +266,56 @@ def coverage_study(config: SimulationConfig, keep_replicates: bool = False) -> C
     its counts, so each distinct ``(t_v, t_c)`` is evaluated once and its
     outcome reused for every replicate that repeats it, which many do at
     low incidence.
+
+    Replicates run in blocks: a block draws its replicates, evaluates its
+    new ``(t_v, t_c)`` one method at a time, then tallies its replicates
+    in order.  Evaluating method by method, apart from the draws, is
+    measurably faster than interleaving them, and the outcomes are the same.
     """
-    outcomes: dict[tuple[int, int], list[tuple]] = {}
-    records = []
-    for index in range(config.replicates):
-        counts = simulate_trial(config, np.random.default_rng((config.seed, index)))
-        key = (counts.t_v, counts.t_c)
-        if key not in outcomes:
-            outcomes[key] = _evaluate(config, counts)
-        records.extend(
-            ReplicateRecord(index, *key, method, *outcome)
-            for method, outcome in zip(config.methods, outcomes[key])
-        )
-    methods: dict[str, MethodResult] = {}
-    for method in config.methods:
-        done = [rec for rec in records if rec.method == method and rec.covered is not None]
-        # Widths add left to right from 0.0; builtin sum compensates its
-        # float additions from Python 3.12 on, which would move last bits.
-        width_total = 0.0
-        for rec in done:
-            width_total += rec.upper - rec.lower
-        evaluated = len(done)
-        methods[method] = MethodResult(
-            coverage=sum(rec.covered for rec in done) / evaluated if evaluated else None,
-            mean_width=width_total / evaluated if evaluated else None,
-            evaluated=evaluated,
-            failures=config.replicates - evaluated,
-        )
+    methods = config.methods
+    outcomes: dict[tuple[int, int], tuple[tuple, ...]] = {}
+    covered = [0] * len(methods)
+    evaluated = [0] * len(methods)
+    # Widths add left to right from 0.0 in replicate order; builtin sum
+    # compensates its float additions from Python 3.12 on, which would
+    # move last bits.
+    widths = [0.0] * len(methods)
+    records = [] if keep_replicates else None
+    streams = _substreams(config.seed, 0, config.replicates)
+    for start in range(0, config.replicates, _BLOCK):
+        keys = []
+        fresh: dict[tuple[int, int], TrialCounts] = {}
+        for rng in itertools.islice(streams, _BLOCK):
+            counts = simulate_trial(config, rng)
+            key = (counts.t_v, counts.t_c)
+            keys.append(key)
+            if key not in outcomes:
+                fresh.setdefault(key, counts)
+        columns = [[_outcome(method, config, counts) for counts in fresh.values()] for method in methods]
+        outcomes.update(zip(fresh, zip(*columns)))
+        for index, key in enumerate(keys, start):
+            outcome = outcomes[key]
+            for slot, (lower, upper, hit) in enumerate(outcome):
+                if hit is not None:
+                    covered[slot] += hit
+                    evaluated[slot] += 1
+                    widths[slot] += upper - lower
+            if records is not None:
+                records.extend(
+                    ReplicateRecord(index, *key, method, *result)
+                    for method, result in zip(methods, outcome)
+                )
     return CoverageReport(
         config=config,
         replicates=config.replicates,
-        methods=methods,
+        methods={
+            method: MethodResult(
+                coverage=covered[slot] / done if done else None,
+                mean_width=widths[slot] / done if done else None,
+                evaluated=done,
+                failures=config.replicates - done,
+            )
+            for slot, (method, done) in enumerate(zip(methods, evaluated))
+        },
         records=tuple(records) if keep_replicates else None,
     )

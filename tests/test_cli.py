@@ -703,3 +703,17 @@ class TestOutputFile:
         code, out, err = run_cli([*argv, str(path)], capsys)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot write {path}: ")
+
+    def test_unwritable_dump_fails_before_the_study(self, capsys, tmp_path, monkeypatch):
+        def no_study(*args, **kwargs):
+            raise AssertionError("the study ran before the dump path was opened")
+
+        monkeypatch.setattr(cli, "coverage_study", no_study)
+        path = tmp_path / "missing" / "d.csv"
+        code, out, err = run_cli(
+            ["coverage", "--n-per-arm", "25000", "--pi-c", "0.004", "--ve", "0.9",
+             "--replicates", "10000000", "--dump", str(path)],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ")

@@ -3,6 +3,8 @@ process, no state carried between calls, and one writer for stdout and
 ``--output``."""
 
 import argparse
+import errno
+import io
 import os
 import subprocess
 import sys
@@ -26,6 +28,13 @@ def run_cli(argv, capsys):
     return code, out, err
 
 
+def _module_env():
+    env = dict(os.environ)
+    src = str(Path(trialeff.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.mark.parametrize(
     "argv, code, stderr",
     [
@@ -37,12 +46,9 @@ def run_cli(argv, capsys):
     ids=["ok", "domain-error", "degenerate-data", "argparse-error"],
 )
 def test_module_entry_point(argv, code, stderr):
-    env = dict(os.environ)
-    src = str(Path(trialeff.__file__).parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "trialeff", *argv],
-        capture_output=True, env=env, timeout=120, check=False,
+        capture_output=True, env=_module_env(), timeout=120, check=False,
     )
     assert proc.returncode == code
     assert stderr.encode() in proc.stderr
@@ -50,6 +56,51 @@ def test_module_entry_point(argv, code, stderr):
         assert proc.stdout == (GOLDEN / "estimate_pfizer_all.json").read_bytes()
     else:
         assert proc.stdout == b""
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone, on a descriptor the test owns."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+def test_closed_stdout_exits_1_silently(monkeypatch, capsys, tmp_path):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        code = main(["diagnostics", "--se", "0.9", "--sp", "0.9", "--pi", "0.1"])
+        monkeypatch.undo()
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        # The descriptor now writes to devnull, so the flush at exit cannot fail.
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+
+
+@pytest.mark.parametrize(
+    "argv", [["curve", "--figure", "1"], PFIZER_ALL], ids=["large-csv", "small-json"]
+)
+def test_reader_that_closes_at_once_ends_the_run_with_exit_1(argv):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "trialeff", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env(),
+    )
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert (code, err) == (1, b"")
 
 
 def test_parser_is_built_once_per_process(monkeypatch):

@@ -123,12 +123,12 @@ class TestCramerRaoSampleSize:
         with pytest.raises(DomainError, match="not a finite float"):
             cramer_rao_sample_size(SampleSizeSpec(ve=0.5, delta=delta, pi=pi))
 
-    def test_largest_efficacy_at_full_incidence_sizes_to_zero(self):
+    def test_largest_efficacy_at_full_incidence_sizes_to_one(self):
         # 2 - VE rounds to 1 at VE = 1 - 2**-53, so 2 - VE - pi is 0.0 at
         # pi = 1; the exact size there, 3.5e-10, rounds to 0 as it does at
-        # the largest pi below 1.
+        # the largest pi below 1, and a trial needs at least one participant.
         for pi in (1.0, 0.9999999999999999):
-            assert cramer_rao_sample_size(SampleSizeSpec(0.9999999999999999, 0.1, pi)) == 0
+            assert cramer_rao_sample_size(SampleSizeSpec(0.9999999999999999, 0.1, pi)) == 1
 
     def test_exceeds_wald_size_when_rare_and_effective(self):
         for ve in (0.6, 0.75, 0.9):

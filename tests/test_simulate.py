@@ -8,6 +8,8 @@ import operator
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trialeff import (
     DiagnosticProfile,
@@ -21,8 +23,16 @@ from trialeff import (
     simulate_trial,
 )
 from trialeff.posterior import _interval
+from trialeff.simulate import (
+    CoverageReport,
+    MethodResult,
+    ReplicateRecord,
+    _substream_states,
+    _substreams,
+)
 
 POSTERIOR_MODULE = importlib.import_module("trialeff.posterior")
+SIMULATE_MODULE = importlib.import_module("trialeff.simulate")
 ALL_METHODS = ("conditional", "wald", "cramer-rao", "fisher-rr")
 
 
@@ -273,6 +283,138 @@ class TestCoverageStudy:
         report = coverage_study(make_config(replicates=5))
         with pytest.raises(DomainError):
             replicates_to_csv(report)
+
+
+def _reference_evaluate(config, counts):
+    outcomes = []
+    for method in config.methods:
+        try:
+            est = _interval(method, counts, config.level, grid_size=config.grid_size)
+        except EstimationError:
+            outcomes.append((None, None, None))
+            continue
+        if isinstance(est, IntervalEstimate):
+            lower, upper = est.efficacy_lower, est.efficacy_upper
+        else:
+            lower, upper = est.lower, est.upper
+        outcomes.append((lower, upper, lower <= config.ve <= upper))
+    return outcomes
+
+
+def reference_study(config, keep_replicates=False):
+    """The study as first written: a default_rng((seed, index)) and records per replicate."""
+    outcomes = {}
+    records = []
+    for index in range(config.replicates):
+        counts = simulate_trial(config, np.random.default_rng((config.seed, index)))
+        key = (counts.t_v, counts.t_c)
+        if key not in outcomes:
+            outcomes[key] = _reference_evaluate(config, counts)
+        records.extend(
+            ReplicateRecord(index, *key, method, *outcome)
+            for method, outcome in zip(config.methods, outcomes[key])
+        )
+    methods = {}
+    for method in config.methods:
+        done = [rec for rec in records if rec.method == method and rec.covered is not None]
+        width_total = 0.0
+        for rec in done:
+            width_total += rec.upper - rec.lower
+        evaluated = len(done)
+        methods[method] = MethodResult(
+            coverage=sum(rec.covered for rec in done) / evaluated if evaluated else None,
+            mean_width=width_total / evaluated if evaluated else None,
+            evaluated=evaluated,
+            failures=config.replicates - evaluated,
+        )
+    return CoverageReport(
+        config=config,
+        replicates=config.replicates,
+        methods=methods,
+        records=tuple(records) if keep_replicates else None,
+    )
+
+
+def _pcg64_state(seed, index):
+    state = np.random.default_rng((seed, index)).bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+class TestSubstreams:
+    @pytest.mark.parametrize("seed", [0, 1, 2**31, 2**32 - 1])
+    def test_states_are_default_rng_states(self, seed):
+        assert _substream_states(seed, 0, 3) == [_pcg64_state(seed, i) for i in range(3)]
+        assert _substream_states(seed, 2**32 - 1, 2**32) == [_pcg64_state(seed, 2**32 - 1)]
+
+    @pytest.mark.parametrize(
+        "seed, start, stop, wide",
+        [(2**32, 0, 3, 0), (2**64 + 5, 0, 2, 0), (7, 2**32 - 2, 2**32 + 2, 2**32)],
+        ids=["seed-2**32", "seed-2**64+5", "index-2**32"],
+    )
+    def test_words_beyond_one_uint32_take_default_rng(self, seed, start, stop, wide, monkeypatch):
+        # A second entropy word for the seed or the index changes the
+        # hashing, so those substreams come from default_rng itself.
+        seeded = []
+        build = np.random.default_rng
+
+        def spy(entropy):
+            seeded.append(entropy)
+            return build(entropy)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        draws = [rng.random(3).tolist() for rng in _substreams(seed, start, stop)]
+        assert seeded == [(seed, i) for i in range(wide, stop)]
+        monkeypatch.undo()
+        assert draws == [np.random.default_rng((seed, i)).random(3).tolist() for i in range(start, stop)]
+
+    def test_blocks_draw_what_default_rng_draws(self, monkeypatch):
+        monkeypatch.setattr(SIMULATE_MODULE, "_BLOCK", 3)
+        draws = [rng.binomial(1000, 0.3, 2).tolist() for rng in _substreams(11, 2, 12)]
+        assert draws == [np.random.default_rng((11, i)).binomial(1000, 0.3, 2).tolist() for i in range(2, 12)]
+
+
+STUDY_METHODS = st.lists(st.sampled_from(ALL_METHODS), min_size=1, max_size=4, unique=True)
+
+
+class TestStudyMatchesTheReferenceLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        methods=STUDY_METHODS,
+        n_per_arm=st.integers(1, 3000),
+        prevalence=st.sampled_from([1e-4, 0.002, 0.01, 0.05, 0.3, 1.0]),
+        ve=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+        sensitivity=st.sampled_from([1.0, 0.9]),
+        specificity=st.sampled_from([1.0, 0.999, 0.95]),
+        replicates=st.integers(1, 25),
+        seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)),
+        block=st.integers(1, 8),
+    )
+    def test_report_and_dump_equal_the_reference(
+        self, methods, n_per_arm, prevalence, ve, sensitivity, specificity, replicates, seed, block
+    ):
+        config = SimulationConfig(
+            n_per_arm=n_per_arm, prevalence=prevalence, ve=ve,
+            diagnostic=DiagnosticProfile(sensitivity, specificity),
+            replicates=replicates, seed=seed, methods=tuple(methods),
+        )
+        expected = reference_study(config, keep_replicates=True)
+        with pytest.MonkeyPatch.context() as patch:
+            # Small blocks put block boundaries inside these short studies.
+            patch.setattr(SIMULATE_MODULE, "_BLOCK", block)
+            got = coverage_study(config, keep_replicates=True)
+        assert got.to_json() == expected.to_json()
+        assert replicates_to_csv(got) == replicates_to_csv(expected)
+        assert coverage_study(config).to_json() == expected.to_json()
+
+    def test_study_over_several_blocks(self):
+        config = make_config(
+            n_per_arm=25_000, prevalence=0.0005, ve=0.9, replicates=2 * 1024 + 7, seed=3,
+            methods=("wald", "fisher-rr"),
+        )
+        expected = reference_study(config, keep_replicates=True)
+        got = coverage_study(config, keep_replicates=True)
+        assert got.to_json() == expected.to_json()
+        assert replicates_to_csv(got) == replicates_to_csv(expected)
 
 
 class TestMisclassificationBiasDirections:
